@@ -11,14 +11,9 @@
 
 #include "tricount/cetric/partition.hpp"
 #include "tricount/core/dist_graph.hpp"
-#include "tricount/kernels/intersect.hpp"
+#include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
-#include "tricount/obs/flight.hpp"
-#include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::cetric {
 
@@ -59,16 +54,8 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
   RunResult result;
   result.algorithm = "cetric";
   result.ranks = ranks;
-  result.grid_q = 0;
-  result.model = options.model;
-  result.per_rank.assign(static_cast<std::size_t>(ranks), core::RankStats{});
   result.per_rank_cetric.assign(static_cast<std::size_t>(ranks),
                                 core::CetricRankCounters{});
-
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
-  result.chaos_enabled = options.chaos != nullptr;
   // The local superstep has no communication to overlap with and the cut
   // exchange posts all (buffered) sends before the first receive, so
   // Config::overlap has nothing to change; counts are unaffected.
@@ -76,25 +63,13 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
 
   const Config& config = options.config;
 
-  mpisim::WorldReport report = mpisim::run_world_report(
-      ranks,
-      [&](mpisim::Comm& comm) {
+  return core::run_counter(
+      std::move(result), options,
+      [&](mpisim::Comm& comm, core::RankStats& stats, RunResult& out) {
         const int rank = comm.rank();
         const int p = comm.size();
-        mpisim::World& world = comm.world();
-
-        obs::RankTelemetry* live = nullptr;
-        if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-          live = telemetry->for_caller();
-        }
-        if (live != nullptr) {
-          live->phase.store("pre", std::memory_order_relaxed);
-        }
-
         const LocalSlice input = make_slice(comm);
 
-        core::RankStats& stats =
-            result.per_rank[static_cast<std::size_t>(rank)];
         core::CetricRankCounters cet;
         PhaseTracker tracker(comm);
 
@@ -170,101 +145,23 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         }
 
         // --- triangle counting: superstep 0 (local) + superstep 1 (cut).
-        kernels::IntersectScratch scratch;
-        std::size_t max_row = 16;
+        std::size_t max_row = 0;
         for (const auto& list : g.adj_plus) {
           max_row = std::max(max_row, list.size());
         }
-        scratch.reserve_for(max_row);
-        scratch.reset_probes();
-
-        const mpisim::FaultInjector* injector = world.fault_injector();
-        const int crash_step =
-            injector != nullptr ? injector->crash_superstep(rank) : -1;
-        const double straggler =
-            injector != nullptr ? injector->straggler_factor(rank) : 1.0;
-        const bool checkpointing = config.checkpoint || crash_step >= 0;
-
-        /// Everything the fail-restart model loses: the partial tallies
-        /// and the scratch's history-dependent probe/capacity state. The
-        /// cut superstep replays from its *retained received buffers*
-        /// (message logging) — peers never resend.
-        struct Checkpoint {
-          TriangleCount local_triangles = 0;
-          TriangleCount cut_triangles = 0;
-          KernelCounters kernel;
-          std::uint64_t lookups_before = 0;
-          std::uint64_t probes = 0;
-          std::size_t hash_capacity = 0;
-          core::CetricRankCounters cet;
-        };
-        Checkpoint ckpt;
-
-        TriangleCount local_count = 0;
-        TriangleCount cut_count = 0;
-        KernelCounters kernel;
-        std::uint64_t lookups_before = 0;
-
-        auto publish_live = [&](int step) {
-          if (live != nullptr) {
-            live->phase.store("tc", std::memory_order_relaxed);
-            live->superstep.store(step, std::memory_order_relaxed);
-            live->total_supersteps.store(kSupersteps,
-                                         std::memory_order_relaxed);
-            live->triangles.store(
-                static_cast<std::uint64_t>(local_count + cut_count),
-                std::memory_order_relaxed);
-            live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-          }
-          if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-            flight->counter("superstep", "tc", static_cast<double>(step));
-          }
-          if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-            mt->note_superstep(step);
-          }
-        };
-        auto save_checkpoint = [&] {
-          obs::ScopedSpan span("checkpoint", "chaos");
-          ckpt.local_triangles = local_count;
-          ckpt.cut_triangles = cut_count;
-          ckpt.kernel = kernel;
-          ckpt.lookups_before = lookups_before;
-          ckpt.probes = scratch.probes();
-          ckpt.hash_capacity = scratch.hash_capacity();
-          ckpt.cet = cet;
-        };
-        auto note_crash = [&](int step) {
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          cc.crashes += 1;
-          if (obs::Tracer* tracer = obs::Tracer::current()) {
-            tracer->instant("chaos.crash", "chaos");
-          }
-          if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-            flight->instant("chaos.crash", "chaos", static_cast<double>(step));
-            flight->try_auto_dump("chaos-crash");
-          }
-        };
-        auto finish_superstep = [&] {
-          PhaseSample sample = tracker.cut();
-          if (straggler > 1.0) {
-            mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-            cc.straggler_steps += 1;
-            cc.straggler_injected_seconds +=
-                (straggler - 1.0) * sample.compute_cpu_seconds;
-            sample.compute_cpu_seconds *= straggler;
-          }
-          sample.ops = kernel.lookups - lookups_before;
-          lookups_before = kernel.lookups;
-          stats.shifts.push_back(sample);
-        };
+        core::SuperstepEngine engine(comm, config, kSupersteps, max_row);
+        kernels::IntersectScratch& scratch = engine.scratch();
+        KernelCounters& kernel = engine.kernel();
+        TriangleCount& found = engine.triangles();
 
         // ------- superstep 0: local counting, zero messages. ----------
         // Every wedge (u; v, tail) with a locally resolvable closing row
         // (v owned, or ghost-pulled) closes here; the rest is bucketed
         // into per-destination cut-wedge payloads but nothing is sent —
         // the zero-message invariant the cetric tests assert.
-        publish_live(0);
-        if (checkpointing) save_checkpoint();
+        engine.begin(0);
+        core::CetricRankCounters saved_cet;
+        engine.checkpoint([&] { saved_cet = cet; });
         std::vector<std::vector<VertexId>> wedge_out(
             static_cast<std::size_t>(p));
         // Per-u routing scratch, reused across rows: positions of the
@@ -274,7 +171,6 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
             static_cast<std::size_t>(p));
         std::vector<int> touched;
         auto run_local = [&] {
-          obs::ScopedSpan span("intersect", "tc");
           for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
             const std::vector<VertexId>& au = g.plus(u);
             if (au.size() < 2) continue;
@@ -292,7 +188,7 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
               }
               if (closing != nullptr) {
                 ++kernel.intersection_tasks;
-                local_count += scratch.task(
+                found += scratch.task(
                     config.kernel, std::span<const VertexId>(*closing),
                     config.backward_early_exit, kernel);
                 continue;
@@ -318,31 +214,17 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
             }
           }
         };
-        run_local();
-        if (crash_step == 0) {
-          // One-shot fail-restart before any communication: restore the
-          // checkpoint, discard the staged wedge payloads, and re-execute
-          // the whole local superstep. Peers are unaffected.
-          note_crash(0);
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          const double t0 = util::thread_cpu_seconds();
-          {
-            obs::ScopedSpan span("recover", "chaos");
-            local_count = ckpt.local_triangles;
-            kernel = ckpt.kernel;
-            lookups_before = ckpt.lookups_before;
-            scratch.restore(ckpt.hash_capacity, ckpt.probes);
-            cet = ckpt.cet;
-            wedge_out.assign(static_cast<std::size_t>(p), {});
-            run_local();
-          }
-          cc.recoveries += 1;
-          cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-        }
-        finish_superstep();
+        // A crash here comes before any communication: the staged wedge
+        // payloads are discarded and the whole local superstep re-runs.
+        engine.compute(run_local, [&] {
+          cet = saved_cet;
+          wedge_out.assign(static_cast<std::size_t>(p), {});
+        });
+        stats.shifts.push_back(engine.finish());
+        const TriangleCount local_count = found;
 
         // ------- superstep 1: cut-wedge exchange + resolution. ---------
-        publish_live(1);
+        engine.begin(1);
         std::vector<std::vector<VertexId>> received(
             static_cast<std::size_t>(p));
         std::vector<CutTask> tasks;
@@ -405,9 +287,8 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         // Checkpoint *after* the exchange: the received buffers are the
         // message log, so a crashed rank replays the resolution from them
         // without any peer resending.
-        if (checkpointing) save_checkpoint();
+        engine.checkpoint();
         auto run_cut = [&] {
-          obs::ScopedSpan span("intersect", "tc");
           bool pinned = false;
           VertexId current = 0;
           for (const CutTask& t : tasks) {
@@ -419,64 +300,26 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
                                 config.modified_hashing);
             }
             ++kernel.intersection_tasks;
-            cut_count += scratch.task(
+            found += scratch.task(
                 config.kernel, std::span<const VertexId>(t.tail, t.len),
                 config.backward_early_exit, kernel);
           }
         };
-        run_cut();
-        if (crash_step == 1) {
-          note_crash(1);
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          const double t0 = util::thread_cpu_seconds();
-          {
-            obs::ScopedSpan span("recover", "chaos");
-            cut_count = ckpt.cut_triangles;
-            kernel = ckpt.kernel;
-            lookups_before = ckpt.lookups_before;
-            scratch.restore(ckpt.hash_capacity, ckpt.probes);
-            run_cut();
-          }
-          cc.recoveries += 1;
-          cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-        }
-        finish_superstep();
-
-        kernel.probes = scratch.probes();
-        if (live != nullptr) {
-          live->superstep.store(kSupersteps, std::memory_order_relaxed);
-          live->triangles.store(
-              static_cast<std::uint64_t>(local_count + cut_count),
-              std::memory_order_relaxed);
-          live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-        }
-
-        const TriangleCount total =
-            mpisim::allreduce_sum(comm, local_count + cut_count);
-        if (live != nullptr) {
-          live->phase.store("done", std::memory_order_relaxed);
-        }
+        engine.compute(run_cut);
+        stats.shifts.push_back(engine.finish());
+        const TriangleCount total = engine.reduce();
 
         stats.kernel = kernel;
         cet.local_triangles = static_cast<std::uint64_t>(local_count);
-        cet.cut_triangles = static_cast<std::uint64_t>(cut_count);
-        result.per_rank_cetric[static_cast<std::size_t>(rank)] = cet;
+        cet.cut_triangles = static_cast<std::uint64_t>(found - local_count);
+        out.per_rank_cetric[static_cast<std::size_t>(rank)] = cet;
         if (rank == 0) {
-          result.triangles = total;
-          result.num_vertices = g.part.num_vertices;
-          result.num_edges = g.num_edges;
+          out.triangles = total;
+          out.num_vertices = g.part.num_vertices;
+          out.num_edges = g.num_edges;
         }
-      },
-      world_options);
+      });
 
-  result.per_rank_counters = std::move(report.counters);
-  result.comm_matrix = std::move(report.comm_matrix);
-  result.per_rank_chaos = std::move(report.chaos);
-
-  for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
-    result.step_names.push_back(name);
-  }
-  return result;
 }
 
 }  // namespace

@@ -1,15 +1,10 @@
 #include "tricount/core/counter2d.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
-#include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
+#include "tricount/core/superstep.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::core {
 
@@ -55,13 +50,6 @@ BlockCsr shift_block(mpisim::Comm& comm, BlockCsr block, int dest, int src,
                                 std::move(entries));
 }
 
-/// Approximate heap footprint of one block for the live-telemetry memory
-/// gauges — the CSR arrays, not an exact allocator tally.
-std::uint64_t block_bytes(const BlockCsr& b) {
-  return b.xadj().size() * sizeof(std::uint64_t) +
-         (b.adj().size() + b.nonempty().size()) * sizeof(VertexId);
-}
-
 }  // namespace
 
 TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
@@ -102,98 +90,29 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
   CountOutput out;
+  SuperstepEngine engine(comm, config, q, blocks.ublock.max_row_degree());
 
-  kernels::IntersectScratch scratch;
-  // Sized from the *current* U block, not just the initial one: a
-  // shifted-in block can carry longer rows, and an undersized table
-  // degrades into mid-superstep rehashes — re-checked after every shift
-  // and on recovery restore (reserve_for never shrinks).
-  auto reserve_scratch = [&] {
-    scratch.reserve_for(std::max<std::size_t>(
-        {blocks.ublock.max_row_degree(), std::size_t{16}}));
-  };
-  reserve_scratch();
-  scratch.reset_probes();
-
-  // Chaos schedule for this rank (docs/chaos.md): a scheduled fail-restart
-  // forces superstep checkpointing so the crashed superstep can be
-  // re-executed from the blocks as they were when it started.
-  mpisim::World& world = comm.world();
-  const mpisim::FaultInjector* injector = world.fault_injector();
-  const int rank = comm.rank();
-  const int crash_step =
-      injector != nullptr ? injector->crash_superstep(rank) : -1;
-  const double straggler =
-      injector != nullptr ? injector->straggler_factor(rank) : 1.0;
-  const bool checkpointing = config.checkpoint || crash_step >= 0;
-
-  /// Everything the fail-restart model loses: the three blocks plus the
-  /// partial count and kernel tallies accumulated before this superstep.
-  struct Checkpoint {
+  /// The blocks as they were when the superstep started — what a crashed
+  /// rank loses besides the engine's shared state.
+  struct Saved {
     std::vector<std::byte> ublock;
     std::vector<std::byte> lblock;
     std::vector<std::byte> tasks;
-    TriangleCount local_triangles = 0;
-    KernelCounters kernel;
-    std::uint64_t lookups_before = 0;
-    /// The scratch's cumulative probe tally lives outside out.kernel until
-    /// the loop ends; without this field a recovery keeps the discarded
-    /// superstep's probes and out.kernel.probes over-reports.
-    std::uint64_t probes = 0;
-    /// Hash capacity in effect at the checkpoint: the replay must rerun
-    /// under the same table geometry or its probe/direct-mode tallies
-    /// diverge from the pass it discards.
-    std::size_t hash_capacity = 0;
   };
-  Checkpoint ckpt;
-
-  // Live telemetry + flight recorder: publish superstep progress at every
-  // loop entry. The flight "superstep" counter doubles as the crash
-  // witness — on a chaos crash the dump's final superstep record is the
-  // superstep the recovery path reports.
-  obs::RankTelemetry* live = nullptr;
-  if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-    live = telemetry->for_caller();
-  }
-  auto publish_live = [&](int step) {
-    if (live != nullptr) {
-      live->phase.store("tc", std::memory_order_relaxed);
-      live->superstep.store(step, std::memory_order_relaxed);
-      live->total_supersteps.store(q, std::memory_order_relaxed);
-      live->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
-                            std::memory_order_relaxed);
-      live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
-      live->graph_bytes.store(
-          block_bytes(blocks.ublock) + block_bytes(blocks.lblock),
-          std::memory_order_relaxed);
-      live->partition_bytes.store(block_bytes(blocks.tasks),
-                                  std::memory_order_relaxed);
-      live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
-                                std::memory_order_relaxed);
-    }
-    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-      flight->counter("superstep", "tc", static_cast<double>(step));
-    }
-    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-      mt->note_superstep(step);
-    }
+  Saved saved;
+  auto intersect = [&] {
+    engine.triangles() +=
+        intersect_blocks(blocks.tasks, blocks.ublock, blocks.lblock, config,
+                         engine.scratch(), engine.kernel());
   };
 
-  PhaseTracker tracker(comm);
-  std::uint64_t lookups_before = 0;
   for (int s = 0; s < q; ++s) {
-    publish_live(s);
-    if (checkpointing) {
-      obs::ScopedSpan span("checkpoint", "chaos");
-      ckpt.ublock = blocks.ublock.to_blob();
-      ckpt.lblock = blocks.lblock.to_blob();
-      ckpt.tasks = blocks.tasks.to_blob();
-      ckpt.local_triangles = out.local_triangles;
-      ckpt.kernel = out.kernel;
-      ckpt.lookups_before = lookups_before;
-      ckpt.probes = scratch.probes();
-      ckpt.hash_capacity = scratch.hash_capacity();
-    }
+    engine.begin(s, blocks.ublock.heap_bytes() + blocks.lblock.heap_bytes(),
+                 blocks.tasks.heap_bytes());
+    engine.checkpoint([&] {
+      saved = {blocks.ublock.to_blob(), blocks.lblock.to_blob(),
+               blocks.tasks.to_blob()};
+    });
     // Overlap mode posts the next shift before intersecting: buffered
     // isends copy the blobs up front, so computing on the blocks while
     // the shift is in flight is safe, and the irecvs complete after the
@@ -213,46 +132,13 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
       u_req = comm.irecv(grid.right(), kTagUBlock);
       l_req = comm.irecv(grid.down(), kTagLBlock);
     }
-    {
-      obs::ScopedSpan span("intersect", "tc");
-      out.local_triangles += intersect_blocks(blocks.tasks, blocks.ublock,
-                                              blocks.lblock, config, scratch,
-                                              out.kernel);
-    }
-    if (s == crash_step) {
-      // One-shot fail-restart: this rank loses the superstep's results,
-      // restores the checkpoint, and re-executes the intersection. The
-      // shifts have not happened yet, so peers are unaffected; the
-      // recovery cost lands in this rank's compute sample (and the
-      // modeled max-over-ranks superstep time).
-      mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-      cc.crashes += 1;
-      if (obs::Tracer* tracer = obs::Tracer::current()) {
-        tracer->instant("chaos.crash", "chaos");
-      }
-      if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-        // Dump at the crash instant: the last "superstep" counter in the
-        // crashing rank's stream is exactly the failed superstep.
-        flight->instant("chaos.crash", "chaos", static_cast<double>(s));
-        flight->try_auto_dump("chaos-crash");
-      }
-      const double t0 = util::thread_cpu_seconds();
-      {
-        obs::ScopedSpan span("recover", "chaos");
-        blocks.ublock = BlockCsr::from_blob(ckpt.ublock);
-        blocks.lblock = BlockCsr::from_blob(ckpt.lblock);
-        blocks.tasks = BlockCsr::from_blob(ckpt.tasks);
-        out.local_triangles = ckpt.local_triangles;
-        out.kernel = ckpt.kernel;
-        lookups_before = ckpt.lookups_before;
-        scratch.restore(ckpt.hash_capacity, ckpt.probes);
-        out.local_triangles += intersect_blocks(blocks.tasks, blocks.ublock,
-                                                blocks.lblock, config, scratch,
-                                                out.kernel);
-      }
-      cc.recoveries += 1;
-      cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-    }
+    // The shifts have not happened yet when a crash replays this
+    // superstep, so peers are unaffected.
+    engine.compute(intersect, [&] {
+      blocks.ublock = BlockCsr::from_blob(saved.ublock);
+      blocks.lblock = BlockCsr::from_blob(saved.lblock);
+      blocks.tasks = BlockCsr::from_blob(saved.tasks);
+    });
     if (s + 1 < q) {
       // U one column left, L one row up (paper §5.1). Buffered sends keep
       // the ring deadlock-free in both modes.
@@ -268,34 +154,16 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
             shift_block(comm, std::move(blocks.lblock), grid.up(), grid.down(),
                         kTagLBlock, kTagLArrays, config.blob_comm);
       }
-      reserve_scratch();
+      // A shifted-in block can carry longer rows than the initial one; an
+      // undersized table degrades into mid-superstep rehashes
+      // (reserve_for never shrinks).
+      engine.scratch().reserve_for(blocks.ublock.max_row_degree());
     }
-    PhaseSample sample = tracker.cut();
-    sample.overlapped = overlapped;
-    if (straggler > 1.0) {
-      // Modeled slowdown: inflate the compute reading the α–β model sees;
-      // the injected share is tallied so reports can subtract it.
-      mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-      cc.straggler_steps += 1;
-      cc.straggler_injected_seconds +=
-          (straggler - 1.0) * sample.compute_cpu_seconds;
-      sample.compute_cpu_seconds *= straggler;
-    }
-    sample.ops = out.kernel.lookups - lookups_before;
-    lookups_before = out.kernel.lookups;
-    out.shifts.push_back(sample);
+    out.shifts.push_back(engine.finish(overlapped));
   }
-  out.kernel.probes = scratch.probes();
-  if (live != nullptr) {
-    // Final readings: superstep == q renders as "q/q" (done) in the
-    // streaming views.
-    live->superstep.store(q, std::memory_order_relaxed);
-    live->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
-                          std::memory_order_relaxed);
-    live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
-  }
-
-  out.total_triangles = mpisim::allreduce_sum(comm, out.local_triangles);
+  out.total_triangles = engine.reduce();
+  out.local_triangles = engine.triangles();
+  out.kernel = engine.kernel();
   return out;
 }
 

@@ -2,10 +2,13 @@
 
 #include <functional>
 #include <stdexcept>
+#include <string>
 
+#include "tricount/cetric/cetric.hpp"
 #include "tricount/core/dist_graph.hpp"
+#include "tricount/core/summa2d.hpp"
+#include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/runtime.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
 
@@ -22,30 +25,12 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
   RunResult result;
   result.ranks = ranks;
   result.grid_q = mpisim::perfect_square_root(ranks);
-  result.model = options.model;
-  result.per_rank.assign(static_cast<std::size_t>(ranks), RankStats{});
-
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
-  result.chaos_enabled = options.chaos != nullptr;
   result.overlap_enabled = options.config.overlap;
-
-  mpisim::WorldReport report = mpisim::run_world_report(ranks, [&](mpisim::Comm& comm) {
+  return run_counter(std::move(result), options, [&](mpisim::Comm& comm,
+                                                     RankStats& stats,
+                                                     RunResult& out) {
     mpisim::Cart2D grid(comm);
-
-    // Live telemetry phase tag: "pre" until cannon_count flips it to "tc"
-    // at its first superstep.
-    obs::RankTelemetry* live = nullptr;
-    if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-      live = telemetry->for_caller();
-    }
-    if (live != nullptr) {
-      live->phase.store("pre", std::memory_order_relaxed);
-    }
-
     const LocalSlice input = make_slice(comm);
-
     PreprocessOutput pre = preprocess(grid, input, options.config);
     if (options.validate_blocks) {
       pre.blocks.ublock.validate();
@@ -54,30 +39,46 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
     }
     CountOutput count = cannon_count(grid, std::move(pre.blocks),
                                      options.config);
-    if (live != nullptr) {
-      live->phase.store("done", std::memory_order_relaxed);
-    }
-
-    RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
     stats.pre_steps = std::move(pre.steps);
     stats.shifts = std::move(count.shifts);
     stats.kernel = count.kernel;
     if (comm.rank() == 0) {
-      result.triangles = count.total_triangles;
-      result.num_vertices = pre.num_vertices;
-      result.num_edges = pre.num_edges;
+      out.triangles = count.total_triangles;
+      out.num_vertices = pre.num_vertices;
+      out.num_edges = pre.num_edges;
     }
-  }, world_options);
-
-  result.per_rank_counters = std::move(report.counters);
-  result.comm_matrix = std::move(report.comm_matrix);
-  result.per_rank_chaos = std::move(report.chaos);
-
-  for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
-    result.step_names.push_back(name);
-  }
-  return result;
+  });
 }
+
+RunResult run_summa(const graph::EdgeList& graph, int ranks,
+                    const RunOptions& options) {
+  SummaOptions summa;
+  static_cast<RunOptions&>(summa) = options;
+  // Most-square factorisation: the largest divisor <= sqrt(ranks).
+  summa.grid_rows = 1;
+  for (int r = 1; r * r <= ranks; ++r) {
+    if (ranks % r == 0) summa.grid_rows = r;
+  }
+  summa.grid_cols = ranks / summa.grid_rows;
+  return count_triangles_summa(graph, summa);
+}
+
+struct Counter {
+  std::string_view name;
+  RunResult (*run)(const graph::EdgeList&, int, const RunOptions&);
+};
+
+const Counter kCounters[] = {
+    {"2d",
+     [](const graph::EdgeList& g, int ranks, const RunOptions& options) {
+       return count_triangles_2d(g, ranks, options);
+     }},
+    {"cetric",
+     [](const graph::EdgeList& g, int ranks, const RunOptions& options) {
+       return cetric::count_triangles_cetric(g, ranks, options);
+     }},
+    {"summa", run_summa},
+};
 
 }  // namespace
 
@@ -179,6 +180,27 @@ double RunResult::shift_max_compute(std::size_t shift_index) const {
 
 double RunResult::shift_avg_compute(std::size_t shift_index) const {
   return breakdown(shift_samples(shift_index)).avg_compute_seconds;
+}
+
+const std::vector<std::string_view>& algorithm_names() {
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> out;
+    for (const Counter& c : kCounters) out.push_back(c.name);
+    return out;
+  }();
+  return names;
+}
+
+RunResult count_triangles(std::string_view algorithm,
+                          const graph::EdgeList& graph, int ranks,
+                          const RunOptions& options) {
+  for (const Counter& c : kCounters) {
+    if (c.name == algorithm) return c.run(graph, ranks, options);
+  }
+  std::string message =
+      "unknown algorithm '" + std::string(algorithm) + "' (valid:";
+  for (const Counter& c : kCounters) message += " " + std::string(c.name);
+  throw UnknownAlgorithm(message + ")");
 }
 
 RunResult count_triangles_2d(const graph::EdgeList& graph, int ranks,

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tricount/core/config.hpp"
@@ -52,7 +54,8 @@ struct CetricRankCounters {
 struct RunResult {
   graph::TriangleCount triangles = 0;
   int ranks = 0;
-  /// Cannon/SUMMA grid edge; 0 for 1D-partitioned algorithms (cetric).
+  /// Cannon grid edge; 0 for every other algorithm (cetric's 1D
+  /// partition, SUMMA's possibly rectangular grid).
   int grid_q = 0;
   VertexId num_vertices = 0;
   EdgeIndex num_edges = 0;
@@ -72,7 +75,7 @@ struct RunResult {
   bool overlap_enabled = false;
   /// Per-rank chaos tallies (all zero unless chaos_enabled).
   std::vector<mpisim::ChaosCounters> per_rank_chaos;
-  /// Which counting algorithm produced this result ("2d" or "cetric").
+  /// Which counting algorithm produced this result (algorithm_names()).
   /// Artifacts serialize the key only when it differs from "2d", so
   /// pre-cetric baselines stay byte-identical.
   std::string algorithm = "2d";
@@ -110,6 +113,26 @@ struct RunResult {
   double shift_max_compute(std::size_t shift_index) const;
   double shift_avg_compute(std::size_t shift_index) const;
 };
+
+/// Raised by count_triangles for a name outside algorithm_names(); the
+/// message names the culprit and lists the valid names.
+class UnknownAlgorithm : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The distributed counters count_triangles selects by name, in
+/// registry order: "2d" (Cannon; perfect-square rank counts), "cetric"
+/// (any rank count), and "summa" (the most-square qr × qc factorisation
+/// of the rank count).
+const std::vector<std::string_view>& algorithm_names();
+
+/// The algorithm registry: counts with the counter named `algorithm`.
+/// Throws UnknownAlgorithm for a name outside algorithm_names(), and
+/// std::invalid_argument for a rank count the counter cannot run on.
+RunResult count_triangles(std::string_view algorithm,
+                          const graph::EdgeList& graph, int ranks,
+                          const RunOptions& options = {});
 
 /// Counts triangles of a replicated, simplified edge list on a simulated
 /// world of `ranks` ranks (must be a perfect square).

@@ -11,12 +11,6 @@ namespace tricount::core {
 
 namespace {
 
-std::uint64_t block_bytes(const BlockCsr& block) {
-  return block.xadj().size() * sizeof(std::uint64_t) +
-         block.adj().size() * sizeof(VertexId) +
-         block.nonempty().size() * sizeof(VertexId);
-}
-
 obs::RankTelemetry* live_slot() {
   obs::Telemetry* telemetry = obs::Telemetry::current();
   return telemetry != nullptr ? telemetry->for_caller() : nullptr;
@@ -27,8 +21,8 @@ obs::RankTelemetry* live_slot() {
 std::uint64_t ResidentPartition::resident_bytes() const {
   std::uint64_t total = 0;
   for (const Blocks& b : blocks) {
-    total += block_bytes(b.ublock) + block_bytes(b.lblock) +
-             block_bytes(b.tasks);
+    total += b.ublock.heap_bytes() + b.lblock.heap_bytes() +
+             b.tasks.heap_bytes();
   }
   return total;
 }
@@ -70,9 +64,10 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
       partition.num_edges = pre.num_edges;
     }
     if (live != nullptr) {
-      live->partition_bytes.store(block_bytes(partition.blocks[rank].ublock) +
-                                      block_bytes(partition.blocks[rank].lblock) +
-                                      block_bytes(partition.blocks[rank].tasks),
+      const Blocks& b = partition.blocks[rank];
+      live->partition_bytes.store(b.ublock.heap_bytes() +
+                                      b.lblock.heap_bytes() +
+                                      b.tasks.heap_bytes(),
                                   std::memory_order_relaxed);
       live->phase.store("resident", std::memory_order_relaxed);
     }

@@ -1,17 +1,16 @@
 #include "tricount/core/summa2d.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "tricount/core/counter2d.hpp"
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/preprocess.hpp"
+#include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
-#include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::core {
 
@@ -119,13 +118,6 @@ SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
   return blocks;
 }
 
-/// Approximate CSR heap footprint of one block, for the live-telemetry
-/// memory gauges (mirrors counter2d.cpp's block_bytes).
-std::uint64_t summa_block_bytes(const BlockCsr& b) {
-  return b.xadj().size() * sizeof(std::uint64_t) +
-         (b.adj().size() + b.nonempty().size()) * sizeof(VertexId);
-}
-
 /// Owner broadcasts a block (as its §5.2 blob) to the other members of
 /// its grid row/column via a binomial group broadcast.
 BlockCsr panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
@@ -139,86 +131,56 @@ BlockCsr panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
 
 }  // namespace
 
-mpisim::ChaosCounters SummaResult::total_chaos() const {
-  mpisim::ChaosCounters total;
-  for (const mpisim::ChaosCounters& c : per_rank_chaos) total += c;
-  return total;
-}
-
-SummaResult count_triangles_summa(const graph::EdgeList& graph,
-                                  const SummaOptions& options) {
+RunResult count_triangles_summa(const graph::EdgeList& graph,
+                                const SummaOptions& options) {
   const int qr = options.grid_rows;
   const int qc = options.grid_cols;
   if (qr <= 0 || qc <= 0) {
     throw std::invalid_argument("summa: grid dims must be positive");
   }
-  const int p = qr * qc;
-  const int K = qr / std::gcd(qr, qc) * qc;
+  const int K = std::lcm(qr, qc);
+  const Config& config = options.config;
 
-  SummaResult result;
-  result.ranks = p;
-  result.grid_rows = qr;
-  result.grid_cols = qc;
-  result.panels = K;
-
-  std::vector<PhaseSample> pre_samples(static_cast<std::size_t>(p));
-  std::vector<std::vector<PhaseSample>> step_samples(
-      static_cast<std::size_t>(p));
-  std::vector<KernelCounters> kernels(static_cast<std::size_t>(p));
-  graph::TriangleCount triangles = 0;
-
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
-  result.chaos_enabled = options.chaos != nullptr;
-
-  mpisim::WorldReport report = mpisim::run_world_report(p, [&](mpisim::Comm& comm) {
+  RunResult result;
+  result.algorithm = "summa";
+  result.ranks = qr * qc;
+  result.overlap_enabled = config.overlap;
+  return run_counter(std::move(result), options, [&](mpisim::Comm& comm,
+                                                     RankStats& stats,
+                                                     RunResult& out) {
     const int x = comm.rank() / qc;
     const int y = comm.rank() % qc;
-    PhaseTracker tracker(comm);
 
-    // Chaos schedule for this rank; mirrors cannon_count (docs/chaos.md).
-    const mpisim::FaultInjector* injector = comm.world().fault_injector();
-    const int crash_step =
-        injector != nullptr ? injector->crash_superstep(comm.rank()) : -1;
-    const double straggler =
-        injector != nullptr ? injector->straggler_factor(comm.rank()) : 1.0;
-    const bool checkpointing = options.config.checkpoint || crash_step >= 0;
-
+    // Preprocessing: the §5.3 pipeline with the panel scatter in place of
+    // Cannon's 2D scatter.
     const LocalSlice input =
         block_slice_from_edges(graph, comm.rank(), comm.size());
+    PhaseTracker tracker(comm);
     const CyclicSlice cyclic = cyclic_redistribute(comm, input);
+    stats.pre_steps.emplace_back("redistribute", tracker.cut());
     const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
+    stats.pre_steps.emplace_back("degree_order", tracker.cut());
     SummaBlocks blocks =
-        scatter_summa(comm, qr, qc, K, relabeled, options.config.enumeration);
-    pre_samples[static_cast<std::size_t>(comm.rank())] = tracker.cut();
+        scatter_summa(comm, qr, qc, K, relabeled, config.enumeration);
+    stats.pre_steps.emplace_back("scatter_summa", tracker.cut());
+    std::uint64_t local_edges = 0;
+    std::uint64_t panels_bytes = 0;
+    VertexId max_row = 0;
+    for (const BlockCsr& b : blocks.upanels) {
+      local_edges += b.num_entries();
+      panels_bytes += b.heap_bytes();
+      max_row = std::max(max_row, b.max_row_degree());
+    }
+    for (const BlockCsr& b : blocks.lpanels) panels_bytes += b.heap_bytes();
+    const std::uint64_t num_edges = mpisim::allreduce_sum(comm, local_edges);
+    stats.pre_steps.emplace_back("edge_count", tracker.cut());
 
     std::vector<int> row_members;
     for (int c = 0; c < qc; ++c) row_members.push_back(x * qc + c);
     std::vector<int> col_members;
     for (int r = 0; r < qr; ++r) col_members.push_back(r * qc + y);
 
-    kernels::IntersectScratch scratch;
-    KernelCounters kernel;
-    graph::TriangleCount local = 0;
-    std::uint64_t lookups_before = 0;
-
-    /// The fail-restart checkpoint: the task block plus the partial count
-    /// and kernel tallies accumulated before this panel step. The U/L
-    /// panels are re-received per step, so only tasks need a blob.
-    struct Checkpoint {
-      std::vector<std::byte> tasks;
-      graph::TriangleCount local = 0;
-      KernelCounters kernel;
-      std::uint64_t lookups_before = 0;
-      /// Cumulative scratch probe tally at step entry; restored on
-      /// recovery so the discarded execution's probes are rolled back.
-      std::uint64_t probes = 0;
-      /// Hash capacity at step entry — the replay must rerun under the
-      /// same table geometry to reproduce the discarded pass's tallies.
-      std::size_t hash_capacity = 0;
-    };
-    Checkpoint ckpt;
+    SuperstepEngine engine(comm, config, K, max_row);
 
     // Overlap mode replaces the binomial broadcast with a point-to-point
     // prefetch pipeline one panel ahead: step z+1's owners isend their
@@ -230,102 +192,61 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
       mpisim::Request req;
       const BlockCsr* own = nullptr;
     };
-    auto post_u = [&](int z) {
+    auto post = [&](const BlockCsr* own, int owner, std::span<const int> members,
+                    int tag) {
       PanelFetch f;
-      const int u_owner = x * qc + (z % qc);
-      if (comm.rank() == u_owner) {
-        f.own = &blocks.upanels[static_cast<std::size_t>(z / qc)];
-        const std::vector<std::byte> blob = f.own->to_blob();
-        for (const int m : row_members) {
+      if (comm.rank() == owner) {
+        f.own = own;
+        const std::vector<std::byte> blob = own->to_blob();
+        for (const int m : members) {
           if (m == comm.rank()) continue;
-          (void)comm.isend_bytes(m, kTagSummaU,
-                                 std::span<const std::byte>(blob));
+          (void)comm.isend_bytes(m, tag, std::span<const std::byte>(blob));
         }
       } else {
-        f.req = comm.irecv(u_owner, kTagSummaU);
+        f.req = comm.irecv(owner, tag);
       }
       return f;
     };
+    auto u_owner = [&](int z) { return x * qc + (z % qc); };
+    auto l_owner = [&](int z) { return (z % qr) * qc + y; };
+    auto own_u = [&](int z) {
+      return comm.rank() == u_owner(z)
+                 ? &blocks.upanels[static_cast<std::size_t>(z / qc)]
+                 : nullptr;
+    };
+    auto own_l = [&](int z) {
+      return comm.rank() == l_owner(z)
+                 ? &blocks.lpanels[static_cast<std::size_t>(z / qr)]
+                 : nullptr;
+    };
+    auto post_u = [&](int z) {
+      return post(own_u(z), u_owner(z), row_members, kTagSummaU);
+    };
     auto post_l = [&](int z) {
-      PanelFetch f;
-      const int l_owner = (z % qr) * qc + y;
-      if (comm.rank() == l_owner) {
-        f.own = &blocks.lpanels[static_cast<std::size_t>(z / qr)];
-        const std::vector<std::byte> blob = f.own->to_blob();
-        for (const int m : col_members) {
-          if (m == comm.rank()) continue;
-          (void)comm.isend_bytes(m, kTagSummaL,
-                                 std::span<const std::byte>(blob));
-        }
-      } else {
-        f.req = comm.irecv(l_owner, kTagSummaL);
-      }
-      return f;
+      return post(own_l(z), l_owner(z), col_members, kTagSummaL);
     };
     auto resolve = [](PanelFetch& f) {
       if (f.own != nullptr) return *f.own;
       return BlockCsr::from_blob(f.req.wait().payload);
     };
 
-    const bool overlap = options.config.overlap;
     PanelFetch next_u;
     PanelFetch next_l;
-    if (overlap) {
+    if (config.overlap) {
       next_u = post_u(0);
       next_l = post_l(0);
     }
 
-    // Live telemetry + flight recorder, mirroring cannon_count: the
-    // "superstep" flight counter marks each panel step so a crash dump's
-    // final superstep record is the failed step.
-    obs::RankTelemetry* live = nullptr;
-    if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-      live = telemetry->for_caller();
-    }
-    std::uint64_t panels_bytes = 0;
-    for (const BlockCsr& b : blocks.upanels) {
-      panels_bytes += summa_block_bytes(b);
-    }
-    for (const BlockCsr& b : blocks.lpanels) {
-      panels_bytes += summa_block_bytes(b);
-    }
-    auto publish_live = [&](int step) {
-      if (live != nullptr) {
-        live->phase.store("tc", std::memory_order_relaxed);
-        live->superstep.store(step, std::memory_order_relaxed);
-        live->total_supersteps.store(K, std::memory_order_relaxed);
-        live->triangles.store(static_cast<std::uint64_t>(local),
-                              std::memory_order_relaxed);
-        live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-        live->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
-        live->partition_bytes.store(summa_block_bytes(blocks.tasks),
-                                    std::memory_order_relaxed);
-        live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
-                                  std::memory_order_relaxed);
-      }
-      if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-        flight->counter("superstep", "tc", static_cast<double>(step));
-      }
-      if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-        mt->note_superstep(step);
-      }
-    };
-
-    auto& steps = step_samples[static_cast<std::size_t>(comm.rank())];
+    // Only the task block needs saving: the U/L panels are re-received per
+    // step, and a crash replays against the panels already in hand, so
+    // peers never see it.
+    std::vector<std::byte> saved_tasks;
     for (int z = 0; z < K; ++z) {
-      publish_live(z);
-      if (checkpointing) {
-        obs::ScopedSpan span("checkpoint", "chaos");
-        ckpt.tasks = blocks.tasks.to_blob();
-        ckpt.local = local;
-        ckpt.kernel = kernel;
-        ckpt.lookups_before = lookups_before;
-        ckpt.probes = scratch.probes();
-        ckpt.hash_capacity = scratch.hash_capacity();
-      }
+      engine.begin(z, panels_bytes, blocks.tasks.heap_bytes());
+      engine.checkpoint([&] { saved_tasks = blocks.tasks.to_blob(); });
       BlockCsr uz;
       BlockCsr lz;
-      if (overlap) {
+      if (config.overlap) {
         uz = resolve(next_u);
         lz = resolve(next_l);
         if (z + 1 < K) {
@@ -333,91 +254,25 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
           next_l = post_l(z + 1);
         }
       } else {
-        const int u_owner = x * qc + (z % qc);
-        const BlockCsr* own_u =
-            comm.rank() == u_owner
-                ? &blocks.upanels[static_cast<std::size_t>(z / qc)]
-                : nullptr;
-        uz = panel_bcast(comm, own_u, z % qc, row_members);
-        const int l_owner = (z % qr) * qc + y;
-        const BlockCsr* own_l =
-            comm.rank() == l_owner
-                ? &blocks.lpanels[static_cast<std::size_t>(z / qr)]
-                : nullptr;
-        lz = panel_bcast(comm, own_l, z % qr, col_members);
+        uz = panel_bcast(comm, own_u(z), z % qc, row_members);
+        lz = panel_bcast(comm, own_l(z), z % qr, col_members);
       }
-      local += intersect_blocks(blocks.tasks, uz, lz, options.config, scratch,
-                                kernel);
-      if (z == crash_step) {
-        // One-shot fail-restart, as in cannon_count: restore the
-        // checkpoint and re-execute the step against the already-received
-        // panels. Broadcasts for step z are complete, so peers never see
-        // the crash.
-        mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-        cc.crashes += 1;
-        if (obs::Tracer* tracer = obs::Tracer::current()) {
-          tracer->instant("chaos.crash", "chaos");
-        }
-        if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-          flight->instant("chaos.crash", "chaos", static_cast<double>(z));
-          flight->try_auto_dump("chaos-crash");
-        }
-        const double t0 = util::thread_cpu_seconds();
-        {
-          obs::ScopedSpan span("recover", "chaos");
-          blocks.tasks = BlockCsr::from_blob(ckpt.tasks);
-          local = ckpt.local;
-          kernel = ckpt.kernel;
-          lookups_before = ckpt.lookups_before;
-          scratch.restore(ckpt.hash_capacity, ckpt.probes);
-          local += intersect_blocks(blocks.tasks, uz, lz, options.config,
-                                    scratch, kernel);
-        }
-        cc.recoveries += 1;
-        cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-      }
-      PhaseSample s = tracker.cut();
-      if (straggler > 1.0) {
-        mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-        cc.straggler_steps += 1;
-        cc.straggler_injected_seconds +=
-            (straggler - 1.0) * s.compute_cpu_seconds;
-        s.compute_cpu_seconds *= straggler;
-      }
-      s.ops = kernel.lookups - lookups_before;
-      lookups_before = kernel.lookups;
-      s.overlapped = overlap;
-      steps.push_back(s);
+      engine.compute(
+          [&] {
+            engine.triangles() += intersect_blocks(
+                blocks.tasks, uz, lz, config, engine.scratch(), engine.kernel());
+          },
+          [&] { blocks.tasks = BlockCsr::from_blob(saved_tasks); });
+      stats.shifts.push_back(engine.finish(config.overlap));
     }
-    kernel.probes = scratch.probes();
-    if (live != nullptr) {
-      live->superstep.store(K, std::memory_order_relaxed);
-      live->triangles.store(static_cast<std::uint64_t>(local),
-                            std::memory_order_relaxed);
-      live->lookups.store(kernel.lookups, std::memory_order_relaxed);
+    const TriangleCount total = engine.reduce();
+    stats.kernel = engine.kernel();
+    if (comm.rank() == 0) {
+      out.triangles = total;
+      out.num_vertices = relabeled.num_vertices;
+      out.num_edges = num_edges;
     }
-    kernels[static_cast<std::size_t>(comm.rank())] = kernel;
-
-    const graph::TriangleCount total = mpisim::allreduce_sum(comm, local);
-    if (comm.rank() == 0) triangles = total;
-  }, world_options);
-
-  result.per_rank_chaos = std::move(report.chaos);
-  result.triangles = triangles;
-  result.pre_modeled_seconds =
-      breakdown(pre_samples).modeled_seconds(options.model);
-  for (int z = 0; z < K; ++z) {
-    std::vector<PhaseSample> at_step;
-    at_step.reserve(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      at_step.push_back(step_samples[static_cast<std::size_t>(r)]
-                                    [static_cast<std::size_t>(z)]);
-    }
-    result.tc_modeled_seconds +=
-        breakdown(at_step).modeled_seconds(options.model);
-  }
-  for (const KernelCounters& k : kernels) result.kernel += k;
-  return result;
+  });
 }
 
 }  // namespace tricount::core

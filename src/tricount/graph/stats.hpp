@@ -43,8 +43,7 @@ struct ComponentStats {
   std::vector<VertexId> component;
 };
 
-/// Connected components via BFS (serial reference; the distributed
-/// version lives in core/components2d).
+/// Connected components via BFS.
 ComponentStats connected_components(const Csr& csr);
 
 /// Number of vertices surviving the 2-core peel (degree >= 2 closure) —

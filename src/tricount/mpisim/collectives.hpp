@@ -145,17 +145,6 @@ std::vector<std::vector<T>> gatherv(Comm& comm, const std::vector<T>& local,
   return out;
 }
 
-/// Gathers one value per rank onto root; empty on non-roots.
-template <typename T>
-std::vector<T> gather_value(Comm& comm, T value, int root = 0) {
-  const auto per_rank = gatherv(comm, std::vector<T>{value}, root);
-  std::vector<T> flat;
-  for (const auto& v : per_rank) {
-    flat.insert(flat.end(), v.begin(), v.end());
-  }
-  return flat;
-}
-
 /// All ranks receive every rank's vector (gather to 0 + broadcast).
 template <typename T>
 std::vector<std::vector<T>> allgatherv(Comm& comm,

@@ -266,7 +266,7 @@ void print_report(const RunReport& report, const Analysis& analysis,
                 static_cast<unsigned long long>(report.edges),
                 static_cast<unsigned long long>(report.triangles));
   } else {
-    std::printf("algorithm %s, ranks %d (1D partition), %llu vertices, "
+    std::printf("algorithm %s, ranks %d, %llu vertices, "
                 "%llu edges, %llu triangles\n",
                 report.algorithm.c_str(), report.ranks,
                 static_cast<unsigned long long>(report.vertices),
@@ -653,7 +653,7 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
           lint.flag("run: grid_q^2 != ranks");
         }
       } else if (q > 0) {
-        lint.flag("run: grid_q must be 0 for 1D-partitioned algorithms");
+        lint.flag("run: grid_q must be 0 for algorithms other than 2d");
       }
       ranks = r >= 1 ? static_cast<std::size_t>(r) : 0;
       lint.counter(*run, "vertices", "run");

@@ -3,10 +3,14 @@
 // the version, so stale entries can never match again; invalidate_all()
 // additionally frees them eagerly. Capacity 0 disables caching entirely
 // (get/put become no-ops), which the batch coalescer uses in tests.
+//
+// Thread-safe: the dispatcher reads and writes entries while client
+// threads read stats() for the live gauges.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -52,7 +56,8 @@ class ResultCache {
     std::string result;
   };
 
-  std::size_t capacity_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
   std::list<Entry> entries_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   std::uint64_t hits_ = 0;

@@ -7,10 +7,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "tricount/cetric/cetric.hpp"
 #include "tricount/core/dist_truss.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
-#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/approx.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/io.hpp"
@@ -474,8 +473,9 @@ Service::Execution Service::verb_count(const Request& request) {
     config.overlap = overlap->as_bool();
   }
 
-  graph::TriangleCount triangles = 0;
-  std::uint64_t supersteps = 0;
+  // The resident partition serves "2d" without re-preprocessing; every
+  // other name goes through the algorithm registry.
+  core::RunResult run;
   if (algo == "2d") {
     if (world_ == nullptr || world_->poisoned()) {
       out.ok = false;
@@ -484,38 +484,26 @@ Service::Execution Service::verb_count(const Request& request) {
       return out;
     }
     ensure_partition();  // stream mutations dirty the resident blocks
-    core::RunResult run = core::count_resident(*world_, partition_, config);
-    triangles = run.triangles;
-    supersteps = run.num_shifts();
-  } else if (algo == "cetric") {
+    run = core::count_resident(*world_, partition_, config);
+  } else {
     core::RunOptions run_options;
     run_options.config = config;
     run_options.model = options_.model;
-    core::RunResult run =
-        cetric::count_triangles_cetric(graph_, options_.ranks, run_options);
-    triangles = run.triangles;
-    supersteps = run.num_shifts();
-  } else if (algo == "summa") {
-    core::SummaOptions summa;
-    summa.grid_rows = partition_.grid_q;
-    summa.grid_cols = partition_.grid_q;
-    summa.config = config;
-    summa.model = options_.model;
-    core::SummaResult run = core::count_triangles_summa(graph_, summa);
-    triangles = run.triangles;
-    supersteps = static_cast<std::uint64_t>(run.panels);
-  } else {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "unknown algo '" + algo + "'";
-    return out;
+    try {
+      run = core::count_triangles(algo, graph_, options_.ranks, run_options);
+    } catch (const core::UnknownAlgorithm& e) {
+      out.ok = false;
+      out.error = ErrorCode::kBadParams;
+      out.message = e.what();
+      return out;
+    }
   }
 
   Value result = Value::object();
   result.set("algo", algo);
-  result.set("triangles", static_cast<std::uint64_t>(triangles));
+  result.set("triangles", static_cast<std::uint64_t>(run.triangles));
   out.result_json = result.dump();
-  out.supersteps = supersteps;
+  out.supersteps = run.num_shifts();
   out.cacheable = true;
   return out;
 }

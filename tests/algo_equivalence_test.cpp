@@ -1,16 +1,18 @@
 // Cross-algorithm equivalence matrix: every counting path in the
-// repository — serial, the three 1D baselines (AOP, push, wedge), 2D
-// Cannon, SUMMA, and the communication-avoiding cetric counter — must
-// report the exact same triangle count on a shared randomized corpus,
-// under every kernel policy, with overlap on and off, across a sweep of
-// rank counts, and under injected faults. Where per-vertex tallies are
-// supported (the 2D path), the full vectors must agree across grids.
+// repository — serial, the three 1D baselines (AOP, push, wedge), and
+// every counter in the algorithm registry (2D Cannon, SUMMA, and the
+// communication-avoiding cetric counter) — must report the exact same
+// triangle count on a shared randomized corpus, under every kernel
+// policy, with overlap on and off, across a sweep of rank counts, and
+// under injected faults. Where per-vertex tallies are supported (the 2D
+// path), the full vectors must agree across grids.
 //
 // This is the project's strongest invariant; any disagreement fails
 // loudly with the generating seed and the full algorithm coordinates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "test_corpus.hpp"
@@ -18,11 +20,9 @@
 #include "tricount/baselines/aop1d.hpp"
 #include "tricount/baselines/push_based1d.hpp"
 #include "tricount/baselines/wedge_counting.hpp"
-#include "tricount/cetric/cetric.hpp"
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
-#include "tricount/core/summa2d.hpp"
 
 namespace tricount {
 namespace {
@@ -30,6 +30,15 @@ namespace {
 using test_support::CorpusEntry;
 using test_support::corpus;
 using test_support::kPolicies;
+
+/// The rank counts a registered counter is exercised on; the first is
+/// the one the kernel and chaos dimensions use. Cannon needs perfect
+/// squares; the others run on any count (SUMMA on the most-square grid,
+/// so 6 -> 2x3 and 12 -> 3x4).
+std::vector<int> rank_sweep(std::string_view algorithm) {
+  if (algorithm == "2d") return {4, 1, 9, 16};
+  return {6, 1, 2, 3, 4, 5, 7, 12};
+}
 
 TEST(AlgoEquivalence, KernelMatrix) {
   // algorithm x kernel policy x overlap, on every corpus graph. The
@@ -47,22 +56,14 @@ TEST(AlgoEquivalence, KernelMatrix) {
       core::RunOptions options;
       options.config.kernel = policy;
       options.config.overlap = (ki % 2) == 0;
-      EXPECT_EQ(core::count_triangles_2d(entry.graph, 4, options).triangles,
-                entry.expected)
-          << "2d overlap=" << options.config.overlap;
-
-      core::SummaOptions summa;
-      summa.config = options.config;
-      summa.grid_rows = 2;
-      summa.grid_cols = 3;
-      EXPECT_EQ(core::count_triangles_summa(entry.graph, summa).triangles,
-                entry.expected)
-          << "summa 2x3";
-
-      EXPECT_EQ(cetric::count_triangles_cetric(entry.graph, 5, options)
-                    .triangles,
-                entry.expected)
-          << "cetric p=5";
+      for (const std::string_view algo : core::algorithm_names()) {
+        const int ranks = rank_sweep(algo).front();
+        EXPECT_EQ(core::count_triangles(algo, entry.graph, ranks, options)
+                      .triangles,
+                  entry.expected)
+            << algo << " p=" << ranks
+            << " overlap=" << options.config.overlap;
+      }
 
       baselines::AopOptions aop;
       aop.kernel = policy;
@@ -91,24 +92,12 @@ TEST(AlgoEquivalence, RankCountSweep) {
   for (std::size_t gi = 0; gi < corpus().size(); ++gi) {
     const CorpusEntry& entry = corpus()[gi];
     SCOPED_TRACE(::testing::Message() << "graph=" << gi);
-    for (const int grid : {1, 4, 9, 16}) {
-      EXPECT_EQ(core::count_triangles_2d(entry.graph, grid).triangles,
-                entry.expected)
-          << "2d ranks=" << grid;
-    }
-    for (const auto& [rows, cols] :
-         {std::pair{1, 3}, std::pair{3, 2}, std::pair{4, 3}}) {
-      core::SummaOptions summa;
-      summa.grid_rows = rows;
-      summa.grid_cols = cols;
-      EXPECT_EQ(core::count_triangles_summa(entry.graph, summa).triangles,
-                entry.expected)
-          << "summa " << rows << "x" << cols;
-    }
-    for (const int p : {1, 2, 3, 4, 6, 7, 12}) {
-      EXPECT_EQ(cetric::count_triangles_cetric(entry.graph, p).triangles,
-                entry.expected)
-          << "cetric p=" << p;
+    for (const std::string_view algo : core::algorithm_names()) {
+      for (const int p : rank_sweep(algo)) {
+        EXPECT_EQ(core::count_triangles(algo, entry.graph, p).triangles,
+                  entry.expected)
+            << algo << " p=" << p;
+      }
     }
     for (const int p : {1, 2, 5, 8}) {
       EXPECT_EQ(baselines::count_triangles_aop1d(entry.graph, p).triangles,
@@ -145,9 +134,8 @@ TEST(AlgoEquivalence, PerVertexTalliesAgreeWhereSupported) {
 }
 
 TEST(AlgoEquivalence, ChaosDimension) {
-  // The fault-tolerant paths (2D Cannon, SUMMA, cetric) stay exact under
-  // a mixed drop/dup/reorder/delay plan; twelve seeded rounds on
-  // rotating corpus graphs.
+  // Every registered counter stays exact under a mixed drop/dup/
+  // reorder/delay plan; twelve seeded rounds on rotating corpus graphs.
   for (int i = 0; i < 12; ++i) {
     const std::uint64_t seed = util::stream_seed(
         util::stream_seed(test_support::chaos_seed(), 0xecbad),
@@ -164,27 +152,15 @@ TEST(AlgoEquivalence, ChaosDimension) {
     spec.retry_timeout_seconds = 2e-3;
     SCOPED_TRACE(::testing::Message() << "round=" << i << " seed=" << seed);
 
-    core::RunOptions options;
-    options.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
-    EXPECT_EQ(core::count_triangles_2d(entry.graph, 4, options).triangles,
-              entry.expected)
-        << "2d under chaos";
-
-    core::SummaOptions summa;
-    summa.grid_rows = 2;
-    summa.grid_cols = 2;
-    summa.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
-    EXPECT_EQ(core::count_triangles_summa(entry.graph, summa).triangles,
-              entry.expected)
-        << "summa under chaos";
-
-    core::RunOptions cetric_options;
-    cetric_options.chaos = std::make_shared<const chaos::FaultPlan>(spec, 5);
-    EXPECT_EQ(
-        cetric::count_triangles_cetric(entry.graph, 5, cetric_options)
-            .triangles,
-        entry.expected)
-        << "cetric under chaos";
+    for (const std::string_view algo : core::algorithm_names()) {
+      const int ranks = rank_sweep(algo).front();
+      core::RunOptions options;
+      options.chaos = std::make_shared<const chaos::FaultPlan>(spec, ranks);
+      EXPECT_EQ(core::count_triangles(algo, entry.graph, ranks, options)
+                    .triangles,
+                entry.expected)
+          << algo << " under chaos";
+    }
   }
 }
 

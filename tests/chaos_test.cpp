@@ -99,7 +99,7 @@ mpisim::ChaosCounters expect_exact_summa(const graph::EdgeList& g, int rows,
   options.grid_cols = cols;
   options.chaos =
       std::make_shared<const chaos::FaultPlan>(spec, rows * cols);
-  const core::SummaResult r = core::count_triangles_summa(g, options);
+  const core::RunResult r = core::count_triangles_summa(g, options);
   EXPECT_TRUE(r.chaos_enabled);
   EXPECT_EQ(r.triangles, expected)
       << "summa " << rows << "x" << cols << " chaos seed=" << spec.seed;
@@ -473,17 +473,17 @@ TEST(ChaosRecovery, CrashRollsBackProbeCounter) {
   summa_clean.config = config;
   summa_clean.grid_rows = 2;
   summa_clean.grid_cols = 2;
-  const core::SummaResult summa_free = core::count_triangles_summa(g, summa_clean);
-  ASSERT_GT(summa_free.kernel.probes, 0u);
+  const core::RunResult summa_free = core::count_triangles_summa(g, summa_clean);
+  ASSERT_GT(summa_free.total_kernel().probes, 0u);
   chaos::FaultSpec spec;
   spec.seed = run_seed(0xab52, 0);
   spec.crash_superstep = 1;
   core::SummaOptions summa_crashed = summa_clean;
   summa_crashed.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
-  const core::SummaResult sr = core::count_triangles_summa(g, summa_crashed);
+  const core::RunResult sr = core::count_triangles_summa(g, summa_crashed);
   EXPECT_EQ(sr.total_chaos().crashes, 1u);
   EXPECT_EQ(sr.triangles, summa_free.triangles);
-  EXPECT_EQ(sr.kernel.probes, summa_free.kernel.probes);
+  EXPECT_EQ(sr.total_kernel().probes, summa_free.total_kernel().probes);
 }
 
 TEST(ChaosRecovery, CheckpointWithoutChaosStaysExact) {

@@ -1,6 +1,7 @@
 // Tests for the SUMMA rectangular-grid extension (paper §8).
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
 
 #include "tricount/core/summa2d.hpp"
@@ -33,11 +34,14 @@ TEST_P(SummaGrid, MatchesSerialOnRectangularGrids) {
   SummaOptions options;
   options.grid_rows = qr;
   options.grid_cols = qc;
-  const SummaResult result = count_triangles_summa(g, options);
+  const RunResult result = count_triangles_summa(g, options);
   EXPECT_EQ(result.triangles, reference(g)) << qr << "x" << qc;
   EXPECT_EQ(result.ranks, qr * qc);
-  EXPECT_EQ(result.panels % qr, 0);
-  EXPECT_EQ(result.panels % qc, 0);
+  EXPECT_EQ(result.algorithm, "summa");
+  // One panel step per panel: K = lcm(qr, qc), a multiple of both edges.
+  EXPECT_EQ(result.num_shifts(), static_cast<std::size_t>(std::lcm(qr, qc)));
+  EXPECT_EQ(result.num_shifts() % static_cast<std::size_t>(qr), 0u);
+  EXPECT_EQ(result.num_shifts() % static_cast<std::size_t>(qc), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,10 +114,10 @@ TEST(Summa, ModeledTimesPositiveOnRealWork) {
   SummaOptions options;
   options.grid_rows = 2;
   options.grid_cols = 2;
-  const SummaResult result = count_triangles_summa(g, options);
-  EXPECT_GT(result.pre_modeled_seconds, 0.0);
-  EXPECT_GT(result.tc_modeled_seconds, 0.0);
-  EXPECT_GT(result.kernel.lookups, 0u);
+  const RunResult result = count_triangles_summa(g, options);
+  EXPECT_GT(result.pre_modeled_seconds(), 0.0);
+  EXPECT_GT(result.tc_modeled_seconds(), 0.0);
+  EXPECT_GT(result.total_kernel().lookups, 0u);
 }
 
 }  // namespace

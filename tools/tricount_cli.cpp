@@ -14,7 +14,7 @@
 //   tricount_cli generate --type rmat --scale 14 --out g.mtx
 //   tricount_cli count --file g.mtx --ranks 16
 //   tricount_cli count --file g.mtx --trace-out t.json --metrics-out m.json
-//   tricount_cli count --file g.mtx --algorithm summa --grid-rows 2 --grid-cols 8
+//   tricount_cli count --file g.mtx --algorithm summa --ranks 12
 //   tricount_cli pervertex --file g.mtx --ranks 9 --top 5
 //   tricount_cli summary --file m.json --comm-matrix
 #include <algorithm>
@@ -33,12 +33,10 @@
 #include "tricount/baselines/aop1d.hpp"
 #include "tricount/baselines/push_based1d.hpp"
 #include "tricount/baselines/wedge_counting.hpp"
-#include "tricount/cetric/cetric.hpp"
 #include "tricount/chaos/options.hpp"
 #include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
-#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/io.hpp"
 #include "tricount/graph/ktruss.hpp"
@@ -339,19 +337,17 @@ int cmd_count(int argc, const char* const* argv) {
   util::ArgParser args("tricount_cli count",
                        "Distributed triangle counting.");
   args.add_option("file", "", "input graph (.txt / .mtx / .bin)");
-  args.add_option("ranks", "16", "simulated ranks (perfect square for 2d)");
+  args.add_option("ranks", "16",
+                  "simulated ranks (perfect square for 2d; summa runs on "
+                  "the most-square grid)");
   args.add_option("algorithm", "2d",
-                  "2d | cetric | summa | aop | push | wedge");
+                  "2d | cetric | summa | aop | push | wedge (the artifact "
+                  "and analysis options apply to 2d, cetric and summa)");
   args.add_option("algo", "", "alias for --algorithm");
-  args.add_option("grid-rows", "0", "summa grid rows (0 = auto)");
-  args.add_option("grid-cols", "0", "summa grid cols (0 = auto)");
   args.add_option("enumeration", "jik", "jik | ijk");
   args.add_option("kernel", "auto",
                   "intersection kernel: auto | merge | galloping | bitmap | "
                   "hash (docs/kernels.md)");
-  args.add_option("intersection", "",
-                  "deprecated alias: map = --kernel hash, list = "
-                  "--kernel merge");
   args.add_flag("doubly-sparse", true, "doubly sparse traversal (§5.2)");
   args.add_flag("modified-hashing", true, "probe-free hashing (§5.2)");
   args.add_flag("backward-exit", true, "backward early exit (§5.2)");
@@ -360,16 +356,13 @@ int cmd_count(int argc, const char* const* argv) {
                 "overlap block shifts / panel broadcasts with intersections "
                 "(2d and summa; docs/overlap.md)");
   args.add_option("trace-out", "",
-                  "write a Chrome trace-event JSON timeline (2d/cetric)");
-  args.add_option("metrics-out", "",
-                  "write the metrics JSON artifact (2d/cetric)");
-  args.add_flag("comm-matrix", false,
-                "print the p x p traffic heatmap (2d/cetric)");
+                  "write a Chrome trace-event JSON timeline");
+  args.add_option("metrics-out", "", "write the metrics JSON artifact");
+  args.add_flag("comm-matrix", false, "print the p x p traffic heatmap");
   args.add_option("model", "",
-                  "alpha,beta cost-model override, e.g. 1.5e-6,2.9e-10 "
-                  "(2d only)");
+                  "alpha,beta cost-model override, e.g. 1.5e-6,2.9e-10");
   args.add_flag("analyze", false,
-                "print the perf-doctor bottleneck report (2d/cetric)");
+                "print the perf-doctor bottleneck report");
   args.add_flag("checkpoint", false,
                 "checkpoint counting supersteps even without a scheduled "
                 "crash (docs/chaos.md)");
@@ -394,8 +387,7 @@ int cmd_count(int argc, const char* const* argv) {
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,
                 "capture causal message traces and write the "
-                "tricount.msgtrace.v1 artifact (2d/cetric; "
-                "docs/observability.md)");
+                "tricount.msgtrace.v1 artifact (docs/observability.md)");
   args.add_option("msgtrace-out", "msgtrace.json",
                   "path for the msgtrace artifact (with --msgtrace)");
   args.add_option("msgtrace-capacity", "65536",
@@ -417,153 +409,104 @@ int cmd_count(int argc, const char* const* argv) {
     std::fprintf(stderr, "unknown --kernel '%s'\n", args.get("kernel").c_str());
     return 1;
   }
-  if (const std::string inter = args.get("intersection"); !inter.empty()) {
-    util::warn_deprecated("--intersection", "--kernel");
-    if (inter != "map" && inter != "list") {
-      std::fprintf(stderr, "unknown --intersection '%s'\n", inter.c_str());
-      return 1;
-    }
-    if (args.get("kernel") == "auto") {
-      config.kernel = inter == "list" ? kernels::KernelPolicy::kMerge
-                                      : kernels::KernelPolicy::kHash;
-    }
-  }
   config.doubly_sparse = args.get_bool("doubly-sparse");
   config.modified_hashing = args.get_bool("modified-hashing");
   config.backward_early_exit = args.get_bool("backward-exit");
   config.blob_comm = args.get_bool("blob");
   config.overlap = args.get_bool("overlap");
   config.checkpoint = args.get_bool("checkpoint");
-  const double watchdog = args.get_double("watchdog");
 
-  if (algorithm == "2d" || algorithm == "cetric") {
-    // Both counters return a full core::RunResult, so the entire artifact
-    // pipeline (trace, metrics, msgtrace, heatmap, analyzer) is shared.
-    core::RunOptions options;
-    options.config = config;
-    options.chaos = chaos::plan_from_args(args, ranks);
-    options.watchdog_seconds = watchdog;
-    if (!args.get("model").empty()) {
-      try {
-        options.model =
-            util::AlphaBetaModel::from_string(args.get("model").c_str());
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "bad --model: %s\n", e.what());
-        return 1;
-      }
-    }
-    FlightSession flight_session(args, ranks);
-    MsgTraceSession msgtrace_session(args, ranks);
-    const auto result =
-        algorithm == "cetric"
-            ? cetric::count_triangles_cetric(g, ranks, options)
-            : core::count_triangles_2d(g, ranks, options);
-    if (algorithm == "cetric") {
-      const core::CetricRankCounters cet = result.total_cetric();
-      std::printf("cetric: %llu local + %llu cut triangles, %llu cut "
-                  "wedges sent\n",
-                  static_cast<unsigned long long>(cet.local_triangles),
-                  static_cast<unsigned long long>(cet.cut_triangles),
-                  static_cast<unsigned long long>(cet.cut_wedges_sent));
-    }
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-    std::printf("modeled ppt/tct/overall: %.4f / %.4f / %.4f s\n",
-                result.pre_modeled_seconds(), result.tc_modeled_seconds(),
-                result.total_modeled_seconds());
-    if (result.chaos_enabled) {
-      const mpisim::ChaosCounters c = result.total_chaos();
-      std::printf("chaos: %llu faults injected (drop %llu, dup %llu, "
-                  "reorder %llu, delay %llu), %llu retransmits, %llu dups "
-                  "discarded, %llu crash(es) recovered\n",
-                  static_cast<unsigned long long>(c.total_injected()),
-                  static_cast<unsigned long long>(c.drops_injected),
-                  static_cast<unsigned long long>(c.duplicates_injected),
-                  static_cast<unsigned long long>(c.reorders_injected),
-                  static_cast<unsigned long long>(c.delays_injected),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.duplicates_discarded),
-                  static_cast<unsigned long long>(c.crashes));
-    }
-    if (!args.get("trace-out").empty()) {
-      core::write_run_trace(result, args.get("trace-out"));
-      std::printf("wrote trace: %s\n", args.get("trace-out").c_str());
-    }
-    if (!args.get("metrics-out").empty()) {
-      core::write_run_metrics(result, args.get("metrics-out"));
-      std::printf("wrote metrics: %s\n", args.get("metrics-out").c_str());
-    }
-    if (msgtrace_session.trace() != nullptr) {
-      core::write_run_msgtrace(result, *msgtrace_session.trace(),
-                               args.get("msgtrace-out"));
-      std::printf("wrote msgtrace: %s\n", args.get("msgtrace-out").c_str());
-    }
-    if (args.get_bool("comm-matrix")) {
-      print_comm_heatmap(result.comm_matrix);
-    }
-    if (args.get_bool("analyze")) {
-      const obs::analysis::RunReport report = core::build_run_report(result);
-      obs::analysis::print_report(report, obs::analysis::analyze(report));
-    }
-  } else if (algorithm == "summa") {
-    core::SummaOptions options;
-    options.config = config;
-    int rows = static_cast<int>(args.get_int("grid-rows"));
-    int cols = static_cast<int>(args.get_int("grid-cols"));
-    if (rows <= 0 || cols <= 0) {
-      // Auto: most-square factorization of `ranks`.
-      rows = 1;
-      for (int r = 1; r * r <= ranks; ++r) {
-        if (ranks % r == 0) rows = r;
-      }
-      cols = ranks / rows;
-    }
-    options.grid_rows = rows;
-    options.grid_cols = cols;
-    options.chaos = chaos::plan_from_args(args, rows * cols);
-    options.watchdog_seconds = watchdog;
-    FlightSession flight_session(args, rows * cols);
-    if (args.get_bool("msgtrace")) {
-      // SUMMA has no RunResult-based artifact pipeline; the capture
-      // hooks fire but there is nothing to serialize them into yet.
-      std::fprintf(stderr,
-                   "note: --msgtrace artifact output is 2d-only; ignoring\n");
-    }
-    const auto result = core::count_triangles_summa(g, options);
-    std::printf("triangles: %llu (grid %dx%d, %d panels)\n",
-                static_cast<unsigned long long>(result.triangles),
-                result.grid_rows, result.grid_cols, result.panels);
-    std::printf("modeled ppt/tct: %.4f / %.4f s\n", result.pre_modeled_seconds,
-                result.tc_modeled_seconds);
-    if (result.chaos_enabled) {
-      const mpisim::ChaosCounters c = result.total_chaos();
-      std::printf("chaos: %llu faults injected, %llu retransmits, %llu "
-                  "crash(es) recovered\n",
-                  static_cast<unsigned long long>(c.total_injected()),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.crashes));
-    }
-  } else if (algorithm == "aop") {
+  // The 1D baselines keep their own result type; every other name goes
+  // through the algorithm registry and the shared artifact pipeline
+  // (trace, metrics, msgtrace, heatmap, analyzer).
+  if (algorithm == "aop") {
     baselines::AopOptions options;
     options.kernel = config.kernel;
     const auto result = baselines::count_triangles_aop1d(g, ranks, options);
     std::printf("triangles: %llu\n",
                 static_cast<unsigned long long>(result.triangles));
-  } else if (algorithm == "push") {
+    return 0;
+  }
+  if (algorithm == "push") {
     baselines::PushOptions options;
     options.kernel = config.kernel;
     const auto result = baselines::count_triangles_push1d(g, ranks, options);
     std::printf("triangles: %llu\n",
                 static_cast<unsigned long long>(result.triangles));
-  } else if (algorithm == "wedge") {
+    return 0;
+  }
+  if (algorithm == "wedge") {
     const auto result = baselines::count_triangles_wedge(g, ranks);
     std::printf("triangles: %llu (wedges checked: %llu, peeled: %u)\n",
                 static_cast<unsigned long long>(result.triangles()),
                 static_cast<unsigned long long>(result.wedges_checked),
                 result.vertices_peeled);
-  } else {
-    std::fprintf(stderr, "unknown --algorithm '%s'\n", algorithm.c_str());
-    return 1;
+    return 0;
+  }
+
+  core::RunOptions options;
+  options.config = config;
+  options.chaos = chaos::plan_from_args(args, ranks);
+  options.watchdog_seconds = args.get_double("watchdog");
+  if (!args.get("model").empty()) {
+    try {
+      options.model =
+          util::AlphaBetaModel::from_string(args.get("model").c_str());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "bad --model: %s\n", e.what());
+      return 1;
+    }
+  }
+  FlightSession flight_session(args, ranks);
+  MsgTraceSession msgtrace_session(args, ranks);
+  const core::RunResult result =
+      core::count_triangles(algorithm, g, ranks, options);
+  if (!result.per_rank_cetric.empty()) {
+    const core::CetricRankCounters cet = result.total_cetric();
+    std::printf("cetric: %llu local + %llu cut triangles, %llu cut "
+                "wedges sent\n",
+                static_cast<unsigned long long>(cet.local_triangles),
+                static_cast<unsigned long long>(cet.cut_triangles),
+                static_cast<unsigned long long>(cet.cut_wedges_sent));
+  }
+  std::printf("triangles: %llu\n",
+              static_cast<unsigned long long>(result.triangles));
+  std::printf("modeled ppt/tct/overall: %.4f / %.4f / %.4f s\n",
+              result.pre_modeled_seconds(), result.tc_modeled_seconds(),
+              result.total_modeled_seconds());
+  if (result.chaos_enabled) {
+    const mpisim::ChaosCounters c = result.total_chaos();
+    std::printf("chaos: %llu faults injected (drop %llu, dup %llu, "
+                "reorder %llu, delay %llu), %llu retransmits, %llu dups "
+                "discarded, %llu crash(es) recovered\n",
+                static_cast<unsigned long long>(c.total_injected()),
+                static_cast<unsigned long long>(c.drops_injected),
+                static_cast<unsigned long long>(c.duplicates_injected),
+                static_cast<unsigned long long>(c.reorders_injected),
+                static_cast<unsigned long long>(c.delays_injected),
+                static_cast<unsigned long long>(c.retransmits),
+                static_cast<unsigned long long>(c.duplicates_discarded),
+                static_cast<unsigned long long>(c.crashes));
+  }
+  if (!args.get("trace-out").empty()) {
+    core::write_run_trace(result, args.get("trace-out"));
+    std::printf("wrote trace: %s\n", args.get("trace-out").c_str());
+  }
+  if (!args.get("metrics-out").empty()) {
+    core::write_run_metrics(result, args.get("metrics-out"));
+    std::printf("wrote metrics: %s\n", args.get("metrics-out").c_str());
+  }
+  if (msgtrace_session.trace() != nullptr) {
+    core::write_run_msgtrace(result, *msgtrace_session.trace(),
+                             args.get("msgtrace-out"));
+    std::printf("wrote msgtrace: %s\n", args.get("msgtrace-out").c_str());
+  }
+  if (args.get_bool("comm-matrix")) {
+    print_comm_heatmap(result.comm_matrix);
+  }
+  if (args.get_bool("analyze")) {
+    const obs::analysis::RunReport report = core::build_run_report(result);
+    obs::analysis::print_report(report, obs::analysis::analyze(report));
   }
   return 0;
 }
