@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   for (const bench::Dataset& dataset :
        bench::paper_datasets(static_cast<int>(args.get_int("scale")))) {
-    const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+    const graph::EdgeList g = graph::rmat(dataset.params);
     std::printf("\n--- %s ---\n", dataset.name.c_str());
     util::Table table(
         {"ranks", "eff ppt", "eff tct", "eff overall"});
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     for (const int p : ranks) {
       if (mpisim::perfect_square_root(p) == 0) continue;
       options.chaos = bench::chaos_from_args(args, p);
-      const core::RunResult r = bench::median_run(csr, p, options, reps);
+      const core::RunResult r = bench::median_run("2d", g, p, options, reps);
       const double ppt = r.pre_modeled_seconds();
       const double tct = r.tc_modeled_seconds();
       const double all = ppt + tct;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                 "ppt ops = adjacency entries processed; tct ops = hash "
                 "lookups; rate = total ops / modeled phase time.");
 
-  const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+  const graph::EdgeList g = graph::rmat(dataset.params);
   const int reps = static_cast<int>(args.get_int("reps"));
   core::RunOptions options;
   options.model = bench::model_from_args(args);
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   for (const int p : bench::ranks_from_args(args)) {
     if (mpisim::perfect_square_root(p) == 0) continue;
     options.chaos = bench::chaos_from_args(args, p);
-    const core::RunResult r = bench::median_run(csr, p, options, reps);
+    const core::RunResult r = bench::median_run("2d", g, p, options, reps);
     const double ppt_rate = static_cast<double>(r.pre_ops()) /
                             r.pre_modeled_seconds() / 1e3;
     const double tct_rate =

@@ -6,8 +6,6 @@
 // number of ranks.
 #include "common.hpp"
 
-#include "tricount/cetric/cetric.hpp"
-
 int main(int argc, char** argv) {
   using namespace tricount;
 
@@ -15,14 +13,14 @@ int main(int argc, char** argv) {
   bench::add_common_options(args, /*default_scale=*/15,
                             "16,25,36,49,64,81,100,121,144,169");
   args.add_option("algo", "2d",
-                  "counting algorithm to sweep: 2d | cetric (cetric uses a "
-                  "1D partition, so non-square rank counts run too)");
+                  "counting algorithm to sweep (core::algorithm_names(); "
+                  "every name but 2d also runs non-square rank counts)");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
   const std::string algo = args.get("algo");
-  if (algo != "2d" && algo != "cetric") {
-    std::fprintf(stderr, "unknown --algo '%s' (want 2d or cetric)\n",
-                 algo.c_str());
+  const auto& names = core::algorithm_names();
+  if (std::find(names.begin(), names.end(), algo) == names.end()) {
+    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
     return 1;
   }
 
@@ -34,7 +32,7 @@ int main(int argc, char** argv) {
                 "percentage of modeled phase time attributed to the "
                 "alpha-beta communication term.");
 
-  const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+  const graph::EdgeList g = graph::rmat(dataset.params);
   const int reps = static_cast<int>(args.get_int("reps"));
   core::RunOptions options;
   options.model = bench::model_from_args(args);
@@ -46,19 +44,11 @@ int main(int argc, char** argv) {
   double first_tct = -1.0;
   double last_tct = 0.0;
   for (const int p : bench::ranks_from_args(args)) {
-    // The 2D pipeline needs a square grid; cetric's 1D partition takes
-    // any rank count, so its sweep keeps the full schedule.
+    // The 2D pipeline needs a square grid; the other counters take any
+    // rank count, so their sweeps keep the full schedule.
     if (algo == "2d" && mpisim::perfect_square_root(p) == 0) continue;
     options.chaos = bench::chaos_from_args(args, p);
-    const core::RunResult r =
-        algo == "cetric"
-            ? bench::median_run(csr, p, options, reps,
-                                [](const graph::Csr& c, int ranks,
-                                   const core::RunOptions& o) {
-                                  return cetric::count_triangles_cetric(
-                                      c, ranks, o);
-                                })
-            : bench::median_run(csr, p, options, reps);
+    const core::RunResult r = bench::median_run(algo, g, p, options, reps);
     const double ppt_pct =
         100.0 * r.pre_modeled_comm_seconds() / r.pre_modeled_seconds();
     const double tct_pct =

@@ -10,12 +10,12 @@
 
 namespace {
 
-double tct_seconds(const tricount::graph::Csr& csr, int ranks,
+double tct_seconds(const tricount::graph::EdgeList& graph, int ranks,
                    tricount::core::RunOptions options, int reps) {
   // Median of several runs to damp scheduler noise in the CPU samples.
   std::vector<double> times;
   for (int i = 0; i < std::max(1, reps); ++i) {
-    times.push_back(tricount::core::count_triangles_2d(csr, ranks, options)
+    times.push_back(tricount::core::count_triangles("2d", graph, ranks, options)
                         .tc_modeled_seconds());
   }
   std::sort(times.begin(), times.end());
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
                 "tct = modeled triangle counting time; reduction% = "
                 "(ablated - full) / ablated.");
 
-  const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+  const graph::EdgeList g = graph::rmat(dataset.params);
   const int reps = static_cast<int>(args.get_int("reps"));
   core::RunOptions base;
   base.model = bench::model_from_args(args);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   for (const int p : bench::ranks_from_args(args)) {
     if (mpisim::perfect_square_root(p) == 0) continue;
     std::printf("\n--- %d ranks ---\n", p);
-    const double full = tct_seconds(csr, p, base, reps);
+    const double full = tct_seconds(g, p, base, reps);
     util::Table table({"configuration", "tct (ms)", "reduction by full opt"});
     table.row().cell("all optimizations (paper default)").cell(full * 1e3, 3).dash();
     for (const Ablation& ablation : ablations) {
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       options.config = ablation.config;
       options.config.kernel = base.config.kernel;
       options.config.overlap = base.config.overlap;
-      const double ablated = tct_seconds(csr, p, options, reps);
+      const double ablated = tct_seconds(g, p, options, reps);
       const double pct = 100.0 * (ablated - full) / ablated;
       table.row()
           .cell(ablation.name)

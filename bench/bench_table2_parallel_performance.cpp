@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   for (const bench::Dataset& dataset :
        bench::paper_datasets(static_cast<int>(args.get_int("scale")))) {
     const graph::EdgeList g = graph::rmat(dataset.params);
-    const graph::Csr csr = graph::Csr::from_edges(g);
     std::printf("\n--- %s (%u vertices, %zu edges) ---\n",
                 dataset.name.c_str(), g.num_vertices, g.edges.size());
     util::Table table({"ranks", "expected", "ppt (ms)", "ppt spd",
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     for (const int p : ranks) {
       if (mpisim::perfect_square_root(p) == 0) continue;
       options.chaos = bench::chaos_from_args(args, p);
-      const core::RunResult r = bench::median_run(csr, p, options, reps);
+      const core::RunResult r = bench::median_run("2d", g, p, options, reps);
       if (expected_triangles == 0) {
         expected_triangles = r.triangles;
       } else if (r.triangles != expected_triangles) {

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                 "max / avg of per-rank compute time summed over shifts; "
                 "paper reports 1.05 (25 ranks) and 1.14 (36 ranks).");
 
-  const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+  const graph::EdgeList g = graph::rmat(dataset.params);
   const int reps = static_cast<int>(args.get_int("reps"));
   core::RunOptions options;
   options.model = bench::model_from_args(args);
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (const int p : bench::ranks_from_args(args)) {
     if (mpisim::perfect_square_root(p) == 0) continue;
     options.chaos = bench::chaos_from_args(args, p);
-    const core::RunResult r = bench::median_run(csr, p, options, reps);
+    const core::RunResult r = bench::median_run("2d", g, p, options, reps);
     double max_total = 0.0;
     double avg_total = 0.0;
     for (std::size_t s = 0; s < r.num_shifts(); ++s) {

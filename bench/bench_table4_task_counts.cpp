@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                 "tasks = intersection operations performed across all "
                 "shifts and ranks; paper reports +25% then +20%.");
 
-  const graph::Csr csr = graph::Csr::from_edges(graph::rmat(dataset.params));
+  const graph::EdgeList g = graph::rmat(dataset.params);
   core::RunOptions options;
   options.model = bench::model_from_args(args);
   options.config.kernel = bench::kernel_from_args(args);
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     if (mpisim::perfect_square_root(p) == 0) continue;
     options.chaos = bench::chaos_from_args(args, p);
     // Task counts are deterministic; a single run suffices.
-    const core::RunResult r = core::count_triangles_2d(csr, p, options);
+    const core::RunResult r = core::count_triangles("2d", g, p, options);
     const std::uint64_t tasks = r.total_kernel().intersection_tasks;
     if (previous == 0) {
       table.row().cell(static_cast<std::int64_t>(p)).cell(tasks).dash();

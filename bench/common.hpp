@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -139,7 +140,8 @@ inline void maybe_write_csv(const util::Table& table, const std::string& base,
   std::printf("[csv] wrote %s\n", path.c_str());
 }
 
-/// Runs the pipeline `reps` times and merges them by taking, for every
+/// Runs the counter named `algorithm` (core::algorithm_names()) `reps`
+/// times and merges the runs by taking, for every
 /// (rank, superstep) sample, the *median* CPU time across repetitions.
 ///
 /// Rationale: the modeled superstep time is a max over ranks, and on an
@@ -148,17 +150,13 @@ inline void maybe_write_csv(const util::Table& table, const std::string& base,
 /// median is a robust estimator of each rank's true work; traffic and
 /// operation counters are deterministic, so they are taken from the first
 /// run unchanged.
-/// `run_once(csr, ranks, options)` produces one repetition; the overload
-/// below defaults it to the 2D pipeline, and benches sweeping other
-/// algorithms (e.g. --algo cetric) pass their own counter.
-template <typename Runner>
-inline core::RunResult median_run(const graph::Csr& csr, int ranks,
-                                  const core::RunOptions& options, int reps,
-                                  Runner&& run_once) {
+inline core::RunResult median_run(std::string_view algorithm,
+                                  const graph::EdgeList& graph, int ranks,
+                                  const core::RunOptions& options, int reps) {
   std::vector<core::RunResult> runs;
   runs.reserve(static_cast<std::size_t>(std::max(1, reps)));
   for (int i = 0; i < std::max(1, reps); ++i) {
-    runs.push_back(run_once(csr, ranks, options));
+    runs.push_back(core::count_triangles(algorithm, graph, ranks, options));
   }
   core::RunResult merged = runs.front();
   auto median_of = [&](auto getter) {
@@ -194,12 +192,16 @@ inline core::RunResult median_run(const graph::Csr& csr, int ranks,
   return merged;
 }
 
-inline core::RunResult median_run(const graph::Csr& csr, int ranks,
-                                  const core::RunOptions& options, int reps) {
-  return median_run(csr, ranks, options, reps,
-                    [](const graph::Csr& c, int r, const core::RunOptions& o) {
-                      return core::count_triangles_2d(c, r, o);
-                    });
+/// Modeled seconds of the preprocessing step named `name` (0 when the
+/// run has no such step).
+inline double step_modeled_seconds(const core::RunResult& r,
+                                   std::string_view name) {
+  for (std::size_t s = 0; s < r.step_names.size(); ++s) {
+    if (r.step_names[s] == name) {
+      return core::breakdown(r.step_samples(s)).modeled_seconds(r.model);
+    }
+  }
+  return 0.0;
 }
 
 /// Collects one JSON record per (dataset, rank count) configuration and

@@ -1,16 +1,15 @@
 // Graph-challenge style run: load a graph from a file (edge list or
-// MatrixMarket), count its triangles with all four distributed algorithms
-// (2D Cannon, AOP, push-based 1D, wedge counting), verify they agree, and
-// report a comparison table. If no file is given, a sample graph is
+// MatrixMarket), count its triangles with every distributed algorithm of
+// the registry (2D Cannon, cetric, SUMMA, and the AOP, push-based 1D and
+// wedge-counting baselines), verify they agree, and report a comparison
+// table. If no file is given, a sample graph is
 // written and used so the example is runnable out of the box.
 //
 //   ./graph_challenge [--file path] [--ranks P]
 #include <cstdio>
 #include <string>
+#include <string_view>
 
-#include "tricount/baselines/aop1d.hpp"
-#include "tricount/baselines/push_based1d.hpp"
-#include "tricount/baselines/wedge_counting.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/io.hpp"
@@ -48,45 +47,26 @@ int main(int argc, char** argv) {
   std::printf("graph: %s  (%u vertices, %zu edges)\n", path.c_str(),
               g.num_vertices, g.edges.size());
 
-  const util::AlphaBetaModel model;
   const auto serial =
       graph::count_triangles_serial(graph::Csr::from_edges(g));
-
-  const auto ours = core::count_triangles_2d(g, ranks);
-  const auto aop = baselines::count_triangles_aop1d(g, ranks);
-  const auto push = baselines::count_triangles_push1d(g, ranks);
-  const auto wedge = baselines::count_triangles_wedge(g, ranks);
-
-  bool all_agree = ours.triangles == serial && aop.triangles == serial &&
-                   push.triangles == serial && wedge.triangles() == serial;
 
   util::print_heading("Algorithm comparison");
   util::Table table({"algorithm", "triangles", "modeled time (s)",
                      "comm bytes"});
-  std::uint64_t ours_bytes = 0;
-  for (const auto& stats : ours.per_rank) {
-    ours_bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+  bool all_agree = true;
+  for (const std::string_view algo : core::algorithm_names()) {
+    const core::RunResult r = core::count_triangles(algo, g, ranks);
+    all_agree = all_agree && r.triangles == serial;
+    std::uint64_t bytes = 0;
+    for (const auto& stats : r.per_rank) {
+      bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+    }
+    table.row()
+        .cell(std::string(algo))
+        .cell(static_cast<std::uint64_t>(r.triangles))
+        .cell(r.total_modeled_seconds(), 4)
+        .cell(bytes);
   }
-  table.row()
-      .cell("2D Cannon (this paper)")
-      .cell(static_cast<std::uint64_t>(ours.triangles))
-      .cell(ours.total_modeled_seconds(), 4)
-      .cell(ours_bytes);
-  table.row()
-      .cell("AOP 1D (overlapping)")
-      .cell(static_cast<std::uint64_t>(aop.triangles))
-      .cell(aop.total_modeled_seconds(model), 4)
-      .cell(aop.total_bytes());
-  table.row()
-      .cell("Push-based 1D (space-eff.)")
-      .cell(static_cast<std::uint64_t>(push.triangles))
-      .cell(push.total_modeled_seconds(model), 4)
-      .cell(push.total_bytes());
-  table.row()
-      .cell("Wedge counting (Havoq-like)")
-      .cell(static_cast<std::uint64_t>(wedge.triangles()))
-      .cell(wedge.base.total_modeled_seconds(model), 4)
-      .cell(wedge.base.total_bytes());
   table.print();
 
   std::printf("\nserial reference: %llu  -> %s\n",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -43,10 +42,10 @@ struct CutTask {
   std::uint32_t len = 0;
 };
 
-using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;
+}  // namespace
 
-RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
-                              const SliceFactory& make_slice) {
+RunResult count_triangles_cetric(const graph::EdgeList& graph, int ranks,
+                                 const RunOptions& options) {
   if (ranks < 1) {
     throw std::invalid_argument(
         "count_triangles_cetric: rank count must be positive");
@@ -68,7 +67,8 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
       [&](mpisim::Comm& comm, core::RankStats& stats, RunResult& out) {
         const int rank = comm.rank();
         const int p = comm.size();
-        const LocalSlice input = make_slice(comm);
+        const LocalSlice input =
+            core::block_slice_from_edges(graph, rank, p);
 
         core::CetricRankCounters cet;
         PhaseTracker tracker(comm);
@@ -85,7 +85,7 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         // closing vertex whose wedge mass exceeds its list length — the
         // degree-aware trade between replicating a row and shipping the
         // wedges that close against it.
-        std::unordered_map<VertexId, std::vector<VertexId>> ghosts;
+        core::GhostRows ghosts;
         {
           obs::ScopedSpan span("ghost", "pre");
           std::unordered_map<VertexId, std::uint64_t> mass;
@@ -105,38 +105,9 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
               requests[static_cast<std::size_t>(g.part.owner(v))].push_back(v);
             }
           }
-          // Hash-map iteration order is not part of the contract; sorted
-          // requests keep message payloads deterministic.
-          for (auto& r : requests) std::sort(r.begin(), r.end());
-          const auto incoming_requests = mpisim::alltoallv(comm, requests);
-          std::vector<std::vector<VertexId>> replies(
-              static_cast<std::size_t>(p));
-          for (std::size_t s = 0; s < incoming_requests.size(); ++s) {
-            for (const VertexId v : incoming_requests[s]) {
-              if (!g.part.owns(v)) {
-                throw std::runtime_error("cetric: misrouted ghost request");
-              }
-              const std::vector<VertexId>& list = g.plus(v);
-              auto& reply = replies[s];
-              reply.push_back(v);
-              reply.push_back(static_cast<VertexId>(list.size()));
-              reply.insert(reply.end(), list.begin(), list.end());
-            }
-          }
-          const auto incoming_replies = mpisim::alltoallv(comm, replies);
-          for (const auto& bucket : incoming_replies) {
-            std::size_t at = 0;
-            while (at < bucket.size()) {
-              const VertexId v = bucket[at++];
-              const VertexId len = bucket[at++];
-              ghosts[v].assign(
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-              at += len;
-              cet.ghost_lists_fetched += 1;
-              cet.ghost_list_entries += len;
-            }
-          }
+          ghosts = core::fetch_ghost_rows(comm, g, std::move(requests));
+          cet.ghost_lists_fetched = ghosts.rows.size();
+          cet.ghost_list_entries = ghosts.entries;
         }
         {
           PhaseSample sample = tracker.cut();
@@ -145,11 +116,7 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         }
 
         // --- triangle counting: superstep 0 (local) + superstep 1 (cut).
-        std::size_t max_row = 0;
-        for (const auto& list : g.adj_plus) {
-          max_row = std::max(max_row, list.size());
-        }
-        core::SuperstepEngine engine(comm, config, kSupersteps, max_row);
+        core::SuperstepEngine engine(comm, config, kSupersteps, g.max_row());
         kernels::IntersectScratch& scratch = engine.scratch();
         KernelCounters& kernel = engine.kernel();
         TriangleCount& found = engine.triangles();
@@ -180,12 +147,8 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
             touched.clear();
             for (std::size_t i = 0; i + 1 < au.size(); ++i) {
               const VertexId v = au[i];
-              const std::vector<VertexId>* closing = nullptr;
-              if (g.part.owns(v)) {
-                closing = &g.plus(v);
-              } else if (const auto it = ghosts.find(v); it != ghosts.end()) {
-                closing = &it->second;
-              }
+              const std::vector<VertexId>* closing =
+                  g.part.owns(v) ? &g.plus(v) : ghosts.find(v);
               if (closing != nullptr) {
                 ++kernel.intersection_tasks;
                 found += scratch.task(
@@ -319,23 +282,6 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
           out.num_edges = g.num_edges;
         }
       });
-
-}
-
-}  // namespace
-
-RunResult count_triangles_cetric(const graph::EdgeList& graph, int ranks,
-                                 const RunOptions& options) {
-  return run_cetric_pipeline(ranks, options, [&](mpisim::Comm& comm) {
-    return core::block_slice_from_edges(graph, comm.rank(), comm.size());
-  });
-}
-
-RunResult count_triangles_cetric(const graph::Csr& csr, int ranks,
-                                 const RunOptions& options) {
-  return run_cetric_pipeline(ranks, options, [&](mpisim::Comm& comm) {
-    return core::block_slice_from_csr(csr, comm.rank(), comm.size());
-  });
 }
 
 }  // namespace tricount::cetric

@@ -36,8 +36,4 @@ core::RunResult count_triangles_cetric(const graph::EdgeList& graph,
                                        int ranks,
                                        const core::RunOptions& options = {});
 
-/// Same, from a prebuilt symmetric CSR (the bench harness path).
-core::RunResult count_triangles_cetric(const graph::Csr& csr, int ranks,
-                                       const core::RunOptions& options = {});
-
 }  // namespace tricount::cetric

@@ -1,20 +1,10 @@
 #include "tricount/cetric/partition.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <utility>
 
-#include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
 
 namespace tricount::cetric {
-
-int Partition::owner(VertexId v) const {
-  // First boundary strictly greater than v, skipping boundaries[0]:
-  // empty ranges collapse to repeated boundary values and the upper
-  // bound lands past all of them.
-  const auto it = std::upper_bound(boundaries.begin() + 1, boundaries.end(), v);
-  return static_cast<int>(it - (boundaries.begin() + 1));
-}
 
 std::vector<VertexId> degree_aware_boundaries(
     const std::vector<VertexId>& deg_plus, int p) {
@@ -39,73 +29,36 @@ std::vector<VertexId> degree_aware_boundaries(
 
 CetricGraph build_cetric_graph(mpisim::Comm& comm,
                                const core::LocalSlice& input) {
-  const int p = comm.size();
-  const core::CyclicSlice cyclic = core::cyclic_redistribute(comm, input);
-  const core::RelabeledSlice relabeled = core::degree_relabel(comm, cyclic);
-  const VertexId n = relabeled.num_vertices;
+  const core::PlusLists lists = core::plus_lists_from_slice(comm, input);
+  const VertexId n = lists.num_vertices;
 
-  // Local Adj+ lists in new ids, plus the (new id, deg+) pairs every
-  // rank needs for the replicated oracle.
-  std::vector<std::vector<VertexId>> plus_lists(relabeled.adj.size());
+  // The (new id, deg+) pairs every rank needs for the replicated oracle.
   std::vector<VertexId> pairs;
-  pairs.reserve(relabeled.adj.size() * 2);
-  for (std::size_t k = 0; k < relabeled.adj.size(); ++k) {
-    const VertexId w = relabeled.new_ids[k];
-    auto& plus = plus_lists[k];
-    for (const VertexId u : relabeled.adj[k]) {
-      if (u > w) plus.push_back(u);
-    }
-    std::sort(plus.begin(), plus.end());
-    pairs.push_back(w);
-    pairs.push_back(static_cast<VertexId>(plus.size()));
+  pairs.reserve(lists.ids.size() * 2);
+  for (std::size_t k = 0; k < lists.ids.size(); ++k) {
+    pairs.push_back(lists.ids[k]);
+    pairs.push_back(static_cast<VertexId>(lists.lists[k].size()));
   }
   const auto all_pairs = mpisim::allgatherv(comm, pairs);
 
-  CetricGraph g;
-  g.deg_plus.assign(n, 0);
+  std::vector<VertexId> deg_plus(n, 0);
+  EdgeIndex num_edges = 0;
   for (const auto& bucket : all_pairs) {
     for (std::size_t i = 0; i + 1 < bucket.size(); i += 2) {
-      g.deg_plus[bucket[i]] = bucket[i + 1];
+      deg_plus[bucket[i]] = bucket[i + 1];
     }
   }
-  for (const VertexId d : g.deg_plus) {
-    g.num_edges += static_cast<EdgeIndex>(d);  // each edge once, as u->v
+  for (const VertexId d : deg_plus) {
+    num_edges += static_cast<EdgeIndex>(d);  // each edge once, as u->v
   }
 
-  g.part.num_vertices = n;
-  g.part.p = p;
-  g.part.rank = comm.rank();
-  g.part.boundaries = degree_aware_boundaries(g.deg_plus, p);
-
-  // Route every Adj+ list to the boundary owner of its row id, in the
-  // [w, len, list...] bucket encoding shared with build_dag_1d.
-  std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
-  for (std::size_t k = 0; k < plus_lists.size(); ++k) {
-    const VertexId w = relabeled.new_ids[k];
-    auto& plus = plus_lists[k];
-    auto& bucket = outgoing[static_cast<std::size_t>(g.part.owner(w))];
-    bucket.push_back(w);
-    bucket.push_back(static_cast<VertexId>(plus.size()));
-    bucket.insert(bucket.end(), plus.begin(), plus.end());
-    g.routed_entries += plus.size();
-  }
-  const auto incoming = mpisim::alltoallv(comm, outgoing);
-
-  g.adj_plus.assign(g.part.owned(), {});
-  for (const auto& bucket : incoming) {
-    std::size_t at = 0;
-    while (at < bucket.size()) {
-      const VertexId w = bucket[at++];
-      const VertexId len = bucket[at++];
-      if (!g.part.owns(w)) {
-        throw std::runtime_error("build_cetric_graph: misrouted vertex");
-      }
-      auto& list = g.adj_plus[static_cast<std::size_t>(w - g.part.begin())];
-      list.assign(bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-      at += len;
-    }
-  }
+  Partition part{n, comm.size(), comm.rank(),
+                 degree_aware_boundaries(deg_plus, comm.size())};
+  CetricGraph g;
+  static_cast<core::OwnedRows&>(g) =
+      core::route_plus_lists(comm, lists, std::move(part));
+  g.deg_plus = std::move(deg_plus);
+  g.num_edges = num_edges;
   return g;
 }
 

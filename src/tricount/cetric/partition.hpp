@@ -1,13 +1,9 @@
 // Degree-aware 1D partition for the CETRIC-style counter (docs/cetric.md).
 //
-// After the shared preprocessing (cyclic redistribution + degree
-// relabeling, core/preprocess.hpp), vertex ids are in non-decreasing
-// degree order. CETRIC owns *contiguous ranges* of that order, split so
-// every rank holds roughly the same amount of work (weight(v) = 1 +
-// deg+(v), the out-degree of the degree-ordered DAG). Contiguity is the
-// property the counter leans on: every Adj+ entry points to a vertex
-// with an id larger than its row, so the rank owning a wedge's closing
-// vertex is never to the "left" of the wedge's generating rank.
+// CETRIC builds on the shared 1D partition layer (core/partition1d.hpp)
+// with its own boundaries: contiguous ranges of the degree order, split
+// so every rank holds roughly the same amount of work (weight(v) = 1 +
+// deg+(v), the out-degree of the degree-ordered DAG).
 //
 // The replicated deg+ array doubles as the routing oracle: every rank
 // computes the same boundaries from it without further communication,
@@ -15,39 +11,15 @@
 // cost (its deg+) against the wedge mass that would otherwise ship.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "tricount/core/dist_graph.hpp"
+#include "tricount/core/partition1d.hpp"
 
 namespace tricount::cetric {
 
 using VertexId = graph::VertexId;
 using EdgeIndex = graph::EdgeIndex;
-
-/// Contiguous ownership ranges over the degree-ordered vertex ids: rank
-/// r owns [boundaries[r], boundaries[r+1]). Ranges may be empty when
-/// there are more ranks than weight to split.
-struct Partition {
-  VertexId num_vertices = 0;
-  int p = 1;
-  int rank = 0;
-  /// p+1 non-decreasing split points; boundaries[0] == 0 and
-  /// boundaries[p] == num_vertices.
-  std::vector<VertexId> boundaries;
-
-  VertexId begin() const {
-    return boundaries[static_cast<std::size_t>(rank)];
-  }
-  VertexId end() const {
-    return boundaries[static_cast<std::size_t>(rank) + 1];
-  }
-  VertexId owned() const { return end() - begin(); }
-  bool owns(VertexId v) const { return v >= begin() && v < end(); }
-
-  /// The unique rank whose range contains `v` (v < num_vertices).
-  int owner(VertexId v) const;
-};
+using core::Partition;
 
 /// Deterministic greedy prefix split: boundary r is the first vertex at
 /// which the cumulative weight (1 + deg+) reaches r/p of the total.
@@ -58,25 +30,14 @@ std::vector<VertexId> degree_aware_boundaries(
 
 /// One rank's share of the degree-ordered DAG under the CETRIC
 /// partition, plus the replicated routing oracle.
-struct CetricGraph {
-  Partition part;
-  /// Adj+(v) for each owned v, sorted ascending; entries are > v.
-  std::vector<std::vector<VertexId>> adj_plus;
+struct CetricGraph : core::OwnedRows {
   /// Replicated deg+ of *every* vertex (the routing/ghost oracle).
   std::vector<VertexId> deg_plus;
   EdgeIndex num_edges = 0;  ///< global undirected edge count
-  /// Adjacency entries this rank shipped while routing lists to their
-  /// partition owners (the partition superstep's ops sample).
-  std::uint64_t routed_entries = 0;
-
-  const std::vector<VertexId>& plus(VertexId v) const {
-    return adj_plus[static_cast<std::size_t>(v - part.begin())];
-  }
 };
 
-/// Builds the partitioned DAG from this rank's input slice: cyclic
-/// redistribution -> degree relabel -> deg+ replication -> boundary
-/// computation -> all-to-all routing of Adj+ lists to their owners.
+/// Builds the partitioned DAG from this rank's input slice: shared Adj+
+/// lists -> deg+ replication -> boundary computation -> shared routing.
 CetricGraph build_cetric_graph(mpisim::Comm& comm,
                                const core::LocalSlice& input);
 

@@ -53,18 +53,6 @@ LocalSlice block_slice_from_edges(const graph::EdgeList& graph, int rank,
   return slice;
 }
 
-LocalSlice block_slice_from_csr(const graph::Csr& csr, int rank, int p) {
-  LocalSlice slice;
-  slice.num_vertices = csr.num_vertices();
-  std::tie(slice.begin, slice.end) = block_range(csr.num_vertices(), rank, p);
-  slice.adj.reserve(slice.owned());
-  for (VertexId v = slice.begin; v < slice.end; ++v) {
-    const auto nbrs = csr.neighbors(v);
-    slice.adj.emplace_back(nbrs.begin(), nbrs.end());
-  }
-  return slice;
-}
-
 LocalSlice block_slice_from_rmat(mpisim::Comm& comm,
                                  const graph::RmatParams& params) {
   const int p = comm.size();

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "tricount/core/block_matrix.hpp"
-#include "tricount/graph/csr.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/mpisim/collectives.hpp"
@@ -46,14 +45,9 @@ std::pair<VertexId, VertexId> block_range(VertexId n, int rank, int p);
 int block_owner(VertexId v, VertexId n, int p);
 
 /// Builds this rank's block slice from a replicated, simplified edge list.
-/// No communication. O(m) per rank — prefer the CSR overload when many
-/// ranks slice the same graph.
+/// No communication; O(m) per rank.
 LocalSlice block_slice_from_edges(const graph::EdgeList& graph, int rank,
                                   int p);
-
-/// Same, from a prebuilt symmetric CSR: O(owned adjacency) per rank, so a
-/// p-rank world slices the whole graph in O(m) total.
-LocalSlice block_slice_from_csr(const graph::Csr& csr, int rank, int p);
 
 /// Distributed RMAT ingestion: generate slice, route endpoints to block
 /// owners (all-to-all), sort and deduplicate locally.

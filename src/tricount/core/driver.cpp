@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "tricount/baselines/baselines.hpp"
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/summa2d.hpp"
@@ -78,6 +79,9 @@ const Counter kCounters[] = {
        return cetric::count_triangles_cetric(g, ranks, options);
      }},
     {"summa", run_summa},
+    {"aop", baselines::count_triangles_aop},
+    {"push", baselines::count_triangles_push},
+    {"wedge", baselines::count_triangles_wedge},
 };
 
 }  // namespace
@@ -207,13 +211,6 @@ RunResult count_triangles_2d(const graph::EdgeList& graph, int ranks,
                              const RunOptions& options) {
   return run_pipeline(ranks, options, [&](mpisim::Comm& comm) {
     return block_slice_from_edges(graph, comm.rank(), comm.size());
-  });
-}
-
-RunResult count_triangles_2d(const graph::Csr& csr, int ranks,
-                             const RunOptions& options) {
-  return run_pipeline(ranks, options, [&](mpisim::Comm& comm) {
-    return block_slice_from_csr(csr, comm.rank(), comm.size());
   });
 }
 

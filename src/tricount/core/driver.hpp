@@ -123,8 +123,9 @@ class UnknownAlgorithm : public std::invalid_argument {
 
 /// The distributed counters count_triangles selects by name, in
 /// registry order: "2d" (Cannon; perfect-square rank counts), "cetric"
-/// (any rank count), and "summa" (the most-square qr × qc factorisation
-/// of the rank count).
+/// (any rank count), "summa" (the most-square qr × qc factorisation of
+/// the rank count), and the 1D baselines "aop", "push" and "wedge" (any
+/// rank count; baselines/baselines.hpp).
 const std::vector<std::string_view>& algorithm_names();
 
 /// The algorithm registry: counts with the counter named `algorithm`.
@@ -137,11 +138,6 @@ RunResult count_triangles(std::string_view algorithm,
 /// Counts triangles of a replicated, simplified edge list on a simulated
 /// world of `ranks` ranks (must be a perfect square).
 RunResult count_triangles_2d(const graph::EdgeList& graph, int ranks,
-                             const RunOptions& options = {});
-
-/// Same, from a prebuilt symmetric CSR — cheaper input slicing when the
-/// same graph is swept over many grid sizes (the bench harness path).
-RunResult count_triangles_2d(const graph::Csr& csr, int ranks,
                              const RunOptions& options = {});
 
 /// Same, but the graph is RMAT-generated inside the run, distributed, as

@@ -1,20 +1,24 @@
-// Tests for the baseline algorithms (paper §4): each must be exact on
-// every graph family and rank count, and their structural characteristics
-// (ghost overlap, wedge counts, 2-core peeling) must hold.
+// Tests for the baseline algorithms (paper §4), run through the algorithm
+// registry: each must be exact on every graph family and rank count, and
+// their structural characteristics (ghost overlap, wedge counts, 2-core
+// peeling) must show in the RunResult's steps and kernel counters.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <tuple>
 
-#include "tricount/baselines/aop1d.hpp"
-#include "tricount/baselines/push_based1d.hpp"
-#include "tricount/baselines/wedge_counting.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 
-namespace tricount::baselines {
+namespace tricount {
 namespace {
 
 using graph::EdgeList;
+using graph::TriangleCount;
+
+constexpr std::string_view kBaselines[] = {"aop", "push", "wedge"};
 
 TriangleCount reference(const EdgeList& g) {
   return graph::count_triangles_serial(graph::Csr::from_edges(g));
@@ -26,6 +30,22 @@ EdgeList rmat_graph(std::uint64_t seed) {
   params.edge_factor = 7;
   params.seed = seed;
   return graph::rmat(params);
+}
+
+/// Sum over ranks of one per-rank sample field of pre step `name`.
+template <typename Field>
+std::uint64_t step_total(const core::RunResult& r, const std::string& name,
+                         Field field) {
+  for (std::size_t s = 0; s < r.step_names.size(); ++s) {
+    if (r.step_names[s] != name) continue;
+    std::uint64_t total = 0;
+    for (const core::PhaseSample& sample : r.step_samples(s)) {
+      total += field(sample);
+    }
+    return total;
+  }
+  ADD_FAILURE() << "no pre step '" << name << "'";
+  return 0;
 }
 
 class BaselineSweep
@@ -44,110 +64,108 @@ const std::vector<EdgeList>& sweep_graphs() {
   return *graphs;
 }
 
-TEST_P(BaselineSweep, AopMatchesSerial) {
+TEST_P(BaselineSweep, MatchesSerial) {
   const auto [gi, p] = GetParam();
   const EdgeList& g = sweep_graphs()[static_cast<std::size_t>(gi)];
-  EXPECT_EQ(count_triangles_aop1d(g, p).triangles, reference(g));
-}
-
-TEST_P(BaselineSweep, PushMatchesSerial) {
-  const auto [gi, p] = GetParam();
-  const EdgeList& g = sweep_graphs()[static_cast<std::size_t>(gi)];
-  EXPECT_EQ(count_triangles_push1d(g, p).triangles, reference(g));
-}
-
-TEST_P(BaselineSweep, WedgeMatchesSerial) {
-  const auto [gi, p] = GetParam();
-  const EdgeList& g = sweep_graphs()[static_cast<std::size_t>(gi)];
-  EXPECT_EQ(count_triangles_wedge(g, p).triangles(), reference(g));
+  for (const std::string_view algo : kBaselines) {
+    const core::RunResult r = core::count_triangles(algo, g, p);
+    EXPECT_EQ(r.triangles, reference(g)) << algo;
+    EXPECT_EQ(r.algorithm, algo);
+    EXPECT_EQ(r.ranks, p);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(GraphsByRanks, BaselineSweep,
                          ::testing::Combine(::testing::Range(0, 5),
                                             ::testing::Values(1, 2, 4, 7, 9)));
 
-TEST(Aop, RecordsThreePhases) {
-  const EdgeList g = rmat_graph(3);
-  const BaselineResult result = count_triangles_aop1d(g, 4);
-  ASSERT_EQ(result.phase_names.size(), 3u);
-  EXPECT_EQ(result.phase_names[1], "overlap");
-  // Counting phase must be communication-free (the algorithm's point):
-  // only the final allreduce travels, which is tiny.
-  const auto& count_phase = result.phase_samples[2];
-  for (const auto& sample : count_phase) {
-    EXPECT_LE(sample.bytes, 1024u);
-  }
-  // The overlap phase moves real adjacency data on multi-rank runs.
-  std::uint64_t overlap_bytes = 0;
-  for (const auto& sample : result.phase_samples[1]) {
-    overlap_bytes += sample.bytes;
-  }
-  EXPECT_GT(overlap_bytes, 0u);
+TEST(Baselines, StepsAndSuperstepsFollowTheAlgorithm) {
+  const EdgeList g = rmat_graph(7);
+  const core::RunResult aop = core::count_triangles("aop", g, 4);
+  EXPECT_EQ(aop.step_names, (std::vector<std::string>{"partition", "ghost"}));
+  EXPECT_EQ(aop.num_shifts(), 1u);
+  const core::RunResult push = core::count_triangles("push", g, 4);
+  EXPECT_EQ(push.step_names, (std::vector<std::string>{"partition"}));
+  EXPECT_EQ(push.num_shifts(), 4u);
+  const core::RunResult wedge = core::count_triangles("wedge", g, 4);
+  EXPECT_EQ(wedge.step_names,
+            (std::vector<std::string>{"twocore", "partition"}));
+  EXPECT_EQ(wedge.num_shifts(), 4u);
 }
 
-TEST(Push, MoreRoundsStaysExact) {
-  const EdgeList g = rmat_graph(5);
-  for (const int rounds : {1, 2, 8}) {
-    PushOptions options;
-    options.rounds = rounds;
-    EXPECT_EQ(count_triangles_push1d(g, 4, options).triangles, reference(g));
+TEST(Aop, CountingSuperstepIsCommunicationFree) {
+  const EdgeList g = rmat_graph(3);
+  const core::RunResult result = core::count_triangles("aop", g, 4);
+  // The counting superstep moves no adjacency data (the algorithm's
+  // point); at most a small collective could land in it.
+  for (const core::PhaseSample& sample : result.shift_samples(0)) {
+    EXPECT_LE(sample.bytes, 1024u);
   }
-  PushOptions bad;
-  bad.rounds = 0;
-  EXPECT_THROW(count_triangles_push1d(g, 2, bad), std::invalid_argument);
+  // The ghost step moves real adjacency data on multi-rank runs.
+  EXPECT_GT(step_total(result, "ghost",
+                       [](const core::PhaseSample& s) { return s.bytes; }),
+            0u);
 }
 
 TEST(Wedge, PeelsTreesEntirely) {
   // A path graph is peeled to nothing by the 2-core decomposition.
   const EdgeList g = graph::simplify(graph::path_graph(50));
-  const WedgeResult result = count_triangles_wedge(g, 4);
-  EXPECT_EQ(result.triangles(), 0u);
-  EXPECT_EQ(result.vertices_peeled, 50u);
-  EXPECT_EQ(result.wedges_checked, 0u);
+  const core::RunResult result = core::count_triangles("wedge", g, 4);
+  EXPECT_EQ(result.triangles, 0u);
+  EXPECT_EQ(step_total(result, "twocore",
+                       [](const core::PhaseSample& s) { return s.ops; }),
+            50u);
+  EXPECT_EQ(result.total_kernel().lookups, 0u);
 }
 
 TEST(Wedge, KeepsCyclesAndCountsWedges) {
   // A cycle is its own 2-core; it has wedges but no triangles.
   const EdgeList g = graph::simplify(graph::cycle_graph(30));
-  const WedgeResult result = count_triangles_wedge(g, 3);
-  EXPECT_EQ(result.triangles(), 0u);
-  EXPECT_EQ(result.vertices_peeled, 0u);
+  const core::RunResult result = core::count_triangles("wedge", g, 3);
+  EXPECT_EQ(result.triangles, 0u);
+  EXPECT_EQ(step_total(result, "twocore",
+                       [](const core::PhaseSample& s) { return s.ops; }),
+            0u);
+  EXPECT_GT(result.total_kernel().lookups, 0u);
 }
 
 TEST(Wedge, WedgeVolumeExceedsEdgesOnSkewedGraphs) {
-  // The structural reason Havoq loses (§7.4): wedge checks blow up with
-  // degree skew.
+  // The structural reason Havoq loses (§7.4): closure queries, one per
+  // wedge, blow up with degree skew.
   const EdgeList g = rmat_graph(9);
-  const WedgeResult result = count_triangles_wedge(g, 4);
-  EXPECT_GT(result.wedges_checked, g.edges.size());
-}
-
-TEST(Wedge, RoundsStayExact) {
-  const EdgeList g = rmat_graph(11);
-  for (const int rounds : {1, 3, 6}) {
-    WedgeOptions options;
-    options.rounds = rounds;
-    EXPECT_EQ(count_triangles_wedge(g, 4, options).triangles(), reference(g));
-  }
+  const core::RunResult result = core::count_triangles("wedge", g, 4);
+  EXPECT_GT(result.total_kernel().lookups, g.edges.size());
+  EXPECT_EQ(result.total_kernel().hits, result.triangles);
 }
 
 TEST(Baselines, EmptyGraphsAreFine) {
   EdgeList empty;
   empty.num_vertices = 10;
-  EXPECT_EQ(count_triangles_aop1d(empty, 4).triangles, 0u);
-  EXPECT_EQ(count_triangles_push1d(empty, 4).triangles, 0u);
-  EXPECT_EQ(count_triangles_wedge(empty, 4).triangles(), 0u);
+  for (const std::string_view algo : kBaselines) {
+    EXPECT_EQ(core::count_triangles(algo, empty, 4).triangles, 0u) << algo;
+  }
 }
 
 TEST(Baselines, ModeledTimesAreFinite) {
   const EdgeList g = rmat_graph(21);
-  const util::AlphaBetaModel model;
-  const BaselineResult aop = count_triangles_aop1d(g, 4);
-  EXPECT_GE(aop.total_modeled_seconds(model), 0.0);
-  const BaselineResult push = count_triangles_push1d(g, 4);
-  EXPECT_GE(push.total_modeled_seconds(model), 0.0);
-  EXPECT_GT(push.total_bytes(), 0u);
+  for (const std::string_view algo : kBaselines) {
+    const core::RunResult r = core::count_triangles(algo, g, 4);
+    EXPECT_GE(r.total_modeled_seconds(), 0.0) << algo;
+    std::uint64_t bytes = 0;
+    for (const core::RankStats& stats : r.per_rank) {
+      bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+    }
+    EXPECT_GT(bytes, 0u) << algo;
+  }
+}
+
+TEST(Baselines, RejectNonPositiveRankCounts) {
+  for (const std::string_view algo : kBaselines) {
+    EXPECT_THROW((void)core::count_triangles(algo, rmat_graph(1), 0),
+                 std::invalid_argument)
+        << algo;
+  }
 }
 
 }  // namespace
-}  // namespace tricount::baselines
+}  // namespace tricount

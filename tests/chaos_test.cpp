@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "test_seed.hpp"
@@ -484,6 +485,39 @@ TEST(ChaosRecovery, CrashRollsBackProbeCounter) {
   EXPECT_EQ(sr.total_chaos().crashes, 1u);
   EXPECT_EQ(sr.triangles, summa_free.triangles);
   EXPECT_EQ(sr.total_kernel().probes, summa_free.total_kernel().probes);
+}
+
+TEST(ChaosRecovery, CrashAtFirstSuperstepReplaysEveryAlgorithm) {
+  // Every registered counter runs its counting on the superstep engine,
+  // so a fail-restart in superstep 0 must replay to the fault-free run:
+  // same count, and no double-counted probes or lookups. Same graph and
+  // classic-probing hash kernel as CrashRollsBackProbeCounter.
+  graph::RmatParams params;
+  params.scale = 10;
+  params.edge_factor = 8;
+  params.seed = 1;
+  const graph::EdgeList g = graph::rmat(params);
+  core::Config config;
+  config.kernel = kernels::KernelPolicy::kHash;
+  config.modified_hashing = false;
+  int i = 0;
+  for (const std::string_view algo : core::algorithm_names()) {
+    core::RunOptions clean;
+    clean.config = config;
+    const core::RunResult fault_free = core::count_triangles(algo, g, 4, clean);
+    chaos::FaultSpec spec;
+    spec.seed = run_seed(0xab53, i++);
+    spec.crash_superstep = 0;
+    core::RunOptions crashed = clean;
+    crashed.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
+    const core::RunResult r = core::count_triangles(algo, g, 4, crashed);
+    EXPECT_EQ(r.total_chaos().crashes, 1u) << algo;
+    EXPECT_EQ(r.triangles, fault_free.triangles) << algo;
+    EXPECT_EQ(r.total_kernel().probes, fault_free.total_kernel().probes)
+        << algo;
+    EXPECT_EQ(r.total_kernel().lookups, fault_free.total_kernel().lookups)
+        << algo;
+  }
 }
 
 TEST(ChaosRecovery, CheckpointWithoutChaosStaysExact) {

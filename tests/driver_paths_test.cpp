@@ -1,12 +1,10 @@
-// Tests for the driver's input paths: CSR-based slicing must agree with
-// edge-list slicing, and the CSR driver overload must produce identical
-// runs (it is the path the bench harness uses).
+// Tests for the driver's input path: edge-list slicing covers every edge
+// exactly once, and repeated runs are deterministic.
 #include <gtest/gtest.h>
 
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
-#include "tricount/graph/serial_count.hpp"
 
 namespace tricount::core {
 namespace {
@@ -21,47 +19,14 @@ EdgeList sweep_graph() {
   return graph::rmat(params);
 }
 
-TEST(SlicePaths, CsrSliceEqualsEdgeListSlice) {
-  const EdgeList g = sweep_graph();
-  const graph::Csr csr = graph::Csr::from_edges(g);
-  for (const int p : {1, 3, 7, 16}) {
-    for (int r = 0; r < p; ++r) {
-      const LocalSlice a = block_slice_from_edges(g, r, p);
-      const LocalSlice b = block_slice_from_csr(csr, r, p);
-      ASSERT_EQ(a.begin, b.begin);
-      ASSERT_EQ(a.end, b.end);
-      ASSERT_EQ(a.adj, b.adj) << "p=" << p << " rank=" << r;
-    }
-  }
-}
-
 TEST(SlicePaths, OwnedEdgesSumToTotal) {
   const EdgeList g = sweep_graph();
-  const graph::Csr csr = graph::Csr::from_edges(g);
   for (const int p : {1, 4, 9}) {
     graph::EdgeIndex total = 0;
     for (int r = 0; r < p; ++r) {
-      total += block_slice_from_csr(csr, r, p).owned_edges();
+      total += block_slice_from_edges(g, r, p).owned_edges();
     }
     EXPECT_EQ(total, g.edges.size());
-  }
-}
-
-TEST(DriverPaths, CsrOverloadMatchesEdgeListOverload) {
-  const EdgeList g = sweep_graph();
-  const graph::Csr csr = graph::Csr::from_edges(g);
-  for (const int ranks : {1, 4, 16}) {
-    const RunResult from_edges = count_triangles_2d(g, ranks);
-    const RunResult from_csr = count_triangles_2d(csr, ranks);
-    EXPECT_EQ(from_edges.triangles, from_csr.triangles);
-    EXPECT_EQ(from_edges.num_edges, from_csr.num_edges);
-    EXPECT_EQ(from_csr.triangles,
-              graph::count_triangles_serial(csr));
-    // Deterministic structural counters agree between the two paths.
-    EXPECT_EQ(from_edges.total_kernel().intersection_tasks,
-              from_csr.total_kernel().intersection_tasks);
-    EXPECT_EQ(from_edges.total_kernel().lookups,
-              from_csr.total_kernel().lookups);
   }
 }
 

@@ -8,9 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "test_seed.hpp"
-#include "tricount/baselines/aop1d.hpp"
-#include "tricount/baselines/push_based1d.hpp"
-#include "tricount/baselines/wedge_counting.hpp"
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
@@ -116,14 +113,12 @@ TEST_P(FuzzConsistency, AllAlgorithmsAgree) {
     EXPECT_EQ(core::count_triangles_summa(g, summa).triangles, expected)
         << "summa " << summa.grid_rows << "x" << summa.grid_cols;
 
-    // Baselines on a random rank count.
+    // Baselines on a random rank count, under the random config.
     const int p = 1 + static_cast<int>(rng.bounded(8));
-    EXPECT_EQ(baselines::count_triangles_aop1d(g, p).triangles, expected)
-        << "aop p=" << p;
-    EXPECT_EQ(baselines::count_triangles_push1d(g, p).triangles, expected)
-        << "push p=" << p;
-    EXPECT_EQ(baselines::count_triangles_wedge(g, p).triangles(), expected)
-        << "wedge p=" << p;
+    for (const char* algo : {"aop", "push", "wedge"}) {
+      EXPECT_EQ(core::count_triangles(algo, g, p, options).triangles, expected)
+          << algo << " p=" << p << " " << options.config.describe();
+    }
 
     // Cetric on a random rank count, reusing the random config (its
     // kernel knob is live; overlap is ignored by design). The

@@ -40,7 +40,7 @@
 #             with `tricount_trace_lint --msgtrace`, and render the
 #             causal section via `tricount_perf report --msgtrace` —
 #             all must exit 0.
-#   cetric    run the communication-avoiding counter (--algorithm cetric),
+#   cetric    run the communication-avoiding counter (--algo cetric),
 #             lint the fresh artifact and the checked-in cetric baseline
 #             (cetric_<dataset>_r<ranks>.json), diff them, then run the 2D
 #             algorithm on the same graph and require — via `tricount_perf
@@ -214,7 +214,7 @@ elseif(MODE STREQUAL "cetric")
     message(FATAL_ERROR "perf_gate: missing baseline ${CETRIC_BASELINE}")
   endif()
   set(CETRIC_FRESH ${WORK_DIR}/cetric_${DATASET}_r${RANKS}_fresh.json)
-  run_count(${CETRIC_FRESH} --algorithm cetric)
+  run_count(${CETRIC_FRESH} --algo cetric)
   execute_process(
     COMMAND ${LINT} --metrics ${CETRIC_BASELINE} ${CETRIC_FRESH}
     RESULT_VARIABLE status)

@@ -1,5 +1,6 @@
 // Tests for the algorithm registry (core::count_triangles): every
-// registered name reproduces the serial count, each counter accepts or
+// registered name reproduces the serial count and yields a lint-clean
+// metrics artifact, each counter accepts or
 // rejects rank counts as documented, and an unknown name fails fast with
 // the typed error — in the library, over the service wire, and at the CLI.
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <vector>
 
 #include "test_corpus.hpp"
+#include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/io.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/obs/analysis.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/service/service.hpp"
 
@@ -35,8 +38,9 @@ graph::TriangleCount serial(const graph::EdgeList& g) {
   return graph::count_triangles_serial(graph::Csr::from_edges(g));
 }
 
-TEST(Registry, NamesTheThreeDistributedCounters) {
-  const std::vector<std::string_view> expected{"2d", "cetric", "summa"};
+TEST(Registry, NamesEveryDistributedCounter) {
+  const std::vector<std::string_view> expected{"2d",  "cetric", "summa",
+                                               "aop", "push",   "wedge"};
   EXPECT_EQ(core::algorithm_names(), expected);
 }
 
@@ -47,6 +51,10 @@ TEST(Registry, EveryNameGivesTheSerialCount) {
       EXPECT_EQ(r.triangles, entry.expected) << algo;
       EXPECT_EQ(r.algorithm, algo);
       EXPECT_EQ(r.ranks, 4);
+      // Every counter's result feeds the shared artifact pipeline.
+      EXPECT_EQ(obs::analysis::lint_metrics(core::build_run_metrics(r)),
+                std::vector<std::string>{})
+          << algo;
     }
   }
 }

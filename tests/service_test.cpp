@@ -16,12 +16,14 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "test_corpus.hpp"
 #include "test_seed.hpp"
 #include "tricount/cetric/cetric.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/approx.hpp"
@@ -607,8 +609,8 @@ TEST(ServiceBatching, CoalescedDuplicatesSkipRecount) {
 TEST(ServiceEquivalence, ServedCountsMatchCorpusAcrossAlgorithms) {
   // Every corpus graph the cross-algorithm matrix already agrees on,
   // served through the wire protocol: 2D Cannon on the resident
-  // partition, cetric, and SUMMA, across kernel policies, must all
-  // return the serial reference count.
+  // partition across kernel policies, and every registered algorithm,
+  // must all return the serial reference count.
   const char* kKernels[] = {"auto", "merge", "galloping", "bitmap", "hash"};
   for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
     const auto& entry = test_support::corpus()[gi];
@@ -622,12 +624,11 @@ TEST(ServiceEquivalence, ServedCountsMatchCorpusAcrossAlgorithms) {
                 entry.expected)
           << "graph=" << gi << " algo=2d kernel=" << kernel;
     }
-    EXPECT_EQ(served_triangles(h, count_request(++id, "cetric")),
-              entry.expected)
-        << "graph=" << gi << " algo=cetric";
-    EXPECT_EQ(served_triangles(h, count_request(++id, "summa")),
-              entry.expected)
-        << "graph=" << gi << " algo=summa";
+    for (const std::string_view algo : core::algorithm_names()) {
+      EXPECT_EQ(served_triangles(h, count_request(++id, std::string(algo))),
+                entry.expected)
+          << "graph=" << gi << " algo=" << algo;
+    }
     EXPECT_EQ(served_triangles(h, count_request(++id, "2d",
                                                 ",\"overlap\":true")),
               entry.expected)

@@ -3,8 +3,8 @@
 // Subcommands:
 //   generate   create a graph file (rmat / er / ws / twitter / friendster)
 //   stats      structural statistics of a graph file
-//   count      distributed triangle counting (2d / cetric / summa / aop /
-//              push / wedge)
+//   count      distributed triangle counting (--algo: any name of
+//              core::algorithm_names(), e.g. 2d / cetric / summa / aop)
 //   pervertex  distributed per-vertex counts and clustering coefficients
 //   truss      k-truss decomposition summary
 //   convert    convert between edge-list / MatrixMarket / binary formats
@@ -14,7 +14,7 @@
 //   tricount_cli generate --type rmat --scale 14 --out g.mtx
 //   tricount_cli count --file g.mtx --ranks 16
 //   tricount_cli count --file g.mtx --trace-out t.json --metrics-out m.json
-//   tricount_cli count --file g.mtx --algorithm summa --ranks 12
+//   tricount_cli count --file g.mtx --algo summa --ranks 12
 //   tricount_cli pervertex --file g.mtx --ranks 9 --top 5
 //   tricount_cli summary --file m.json --comm-matrix
 #include <algorithm>
@@ -27,12 +27,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "tricount/baselines/aop1d.hpp"
-#include "tricount/baselines/push_based1d.hpp"
-#include "tricount/baselines/wedge_counting.hpp"
 #include "tricount/chaos/options.hpp"
 #include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
@@ -337,13 +335,18 @@ int cmd_count(int argc, const char* const* argv) {
   util::ArgParser args("tricount_cli count",
                        "Distributed triangle counting.");
   args.add_option("file", "", "input graph (.txt / .mtx / .bin)");
+  std::string names;
+  std::string any_count;
+  for (const std::string_view name : core::algorithm_names()) {
+    names += (names.empty() ? "" : " | ") + std::string(name);
+    if (name != "2d") {
+      any_count += (any_count.empty() ? "" : ", ") + std::string(name);
+    }
+  }
   args.add_option("ranks", "16",
-                  "simulated ranks (perfect square for 2d; summa runs on "
-                  "the most-square grid)");
-  args.add_option("algorithm", "2d",
-                  "2d | cetric | summa | aop | push | wedge (the artifact "
-                  "and analysis options apply to 2d, cetric and summa)");
-  args.add_option("algo", "", "alias for --algorithm");
+                  "simulated ranks (a perfect square for 2d; any count for " +
+                      any_count + "; summa runs on the most-square grid)");
+  args.add_option("algo", "2d", "counting algorithm: " + names);
   args.add_option("enumeration", "jik", "jik | ijk");
   args.add_option("kernel", "auto",
                   "intersection kernel: auto | merge | galloping | bitmap | "
@@ -397,9 +400,7 @@ int cmd_count(int argc, const char* const* argv) {
 
   const graph::EdgeList g = graph::simplify(load(args.get("file")));
   const int ranks = static_cast<int>(args.get_int("ranks"));
-  const std::string algorithm = args.get("algo").empty()
-                                    ? args.get("algorithm")
-                                    : args.get("algo");
+  const std::string algorithm = args.get("algo");
 
   core::Config config;
   config.enumeration = args.get("enumeration") == "ijk"
@@ -415,34 +416,6 @@ int cmd_count(int argc, const char* const* argv) {
   config.blob_comm = args.get_bool("blob");
   config.overlap = args.get_bool("overlap");
   config.checkpoint = args.get_bool("checkpoint");
-
-  // The 1D baselines keep their own result type; every other name goes
-  // through the algorithm registry and the shared artifact pipeline
-  // (trace, metrics, msgtrace, heatmap, analyzer).
-  if (algorithm == "aop") {
-    baselines::AopOptions options;
-    options.kernel = config.kernel;
-    const auto result = baselines::count_triangles_aop1d(g, ranks, options);
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-    return 0;
-  }
-  if (algorithm == "push") {
-    baselines::PushOptions options;
-    options.kernel = config.kernel;
-    const auto result = baselines::count_triangles_push1d(g, ranks, options);
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-    return 0;
-  }
-  if (algorithm == "wedge") {
-    const auto result = baselines::count_triangles_wedge(g, ranks);
-    std::printf("triangles: %llu (wedges checked: %llu, peeled: %u)\n",
-                static_cast<unsigned long long>(result.triangles()),
-                static_cast<unsigned long long>(result.wedges_checked),
-                result.vertices_peeled);
-    return 0;
-  }
 
   core::RunOptions options;
   options.config = config;
