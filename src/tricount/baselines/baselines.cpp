@@ -10,7 +10,7 @@
 #include "tricount/core/partition1d.hpp"
 #include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::baselines {
 

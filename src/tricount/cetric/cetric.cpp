@@ -12,7 +12,7 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::cetric {
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "tricount/core/superstep.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::core {
 

@@ -7,7 +7,6 @@
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/trace.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::core {
@@ -85,9 +84,6 @@ void SuperstepEngine::compute(const std::function<void()>& work,
 
   mpisim::ChaosCounters& cc = comm_.world().chaos_counters(comm_.rank());
   cc.crashes += 1;
-  if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->instant("chaos.crash", "chaos");
-  }
   if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
     // Dump at the crash instant: the last "superstep" counter in the
     // crashing rank's stream is exactly the failed superstep.

@@ -1,7 +1,7 @@
 // The superstep engine every distributed counter runs its counting phase
-// on: Cannon's √p shifts (counter2d), SUMMA's K panel steps (summa2d), and
-// cetric's local + cut supersteps. Each superstep intersects, then moves
-// data. The engine owns everything those loops do the same way:
+// on: Cannon's √p shifts (counter2d), SUMMA's K panel steps (summa2d),
+// cetric's local + cut supersteps, the 1D baselines, and the stream delta
+// pass (one superstep). Each superstep intersects, then moves data. The engine owns everything those loops do the same way:
 //
 //   * the chaos schedule (crash superstep, straggler factor) and
 //     Config::checkpoint, read once per rank;

@@ -7,9 +7,9 @@
 #include <thread>
 
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::mpisim {
@@ -31,9 +31,11 @@ double steady_seconds() {
       .count();
 }
 
-void chaos_trace_instant(const char* name) {
-  if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->instant(name, "chaos");
+/// Marks an injected fault in the calling rank's flight ring, so crash
+/// and exit dumps show the faults that preceded them.
+void chaos_instant(const char* name) {
+  if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+    flight->instant(name, "chaos");
   }
 }
 
@@ -270,7 +272,7 @@ void Comm::transmit(const PendingSend& p) {
 
   if (action.drop) {
     cc.drops_injected += 1;
-    chaos_trace_instant("chaos.drop");
+    chaos_instant("chaos.drop");
     record_attempt(/*was_dropped=*/true);
     return;
   }
@@ -285,18 +287,18 @@ void Comm::transmit(const PendingSend& p) {
   if (action.delay_seconds > 0.0) {
     cc.delays_injected += 1;
     cc.delay_modeled_seconds += action.delay_seconds;
-    chaos_trace_instant("chaos.delay");
+    chaos_instant("chaos.delay");
     mb.push_deferred(std::move(m), kDelayHoldPushes);
   } else if (action.reorder) {
     cc.reorders_injected += 1;
-    chaos_trace_instant("chaos.reorder");
+    chaos_instant("chaos.reorder");
     mb.push_front(std::move(m));
   } else {
     mb.push(std::move(m));
   }
   if (action.duplicate) {
     cc.duplicates_injected += 1;
-    chaos_trace_instant("chaos.duplicate");
+    chaos_instant("chaos.duplicate");
     Message copy;
     copy.source = rank_;
     copy.tag = p.tag;

@@ -1,12 +1,12 @@
 // Flight recorder: an always-on, bounded, lock-free ring of fixed-size
-// event records per rank (docs/observability.md). Unlike the Tracer —
-// which accumulates an unbounded trace and serializes it after a
-// successful run — the flight recorder overwrites oldest records and is
-// built to be dumped at the moment of failure: chaos crash injection,
-// the mpisim hang watchdog, and fatal signals all trigger an automatic
-// dump in the `tricount.flight.v1` JSONL format, so the last few
-// thousand events per rank survive exactly the runs that lose their
-// post-mortem artifacts.
+// event records per rank (docs/observability.md), and the one live sink
+// for spans and instants. Every ScopedSpan site (checkpoint, intersect,
+// shift, recover, the collectives, ...) and every chaos fault instant
+// lands here. The ring overwrites its oldest records and is built to be
+// dumped at the moment of failure: chaos crash injection, the mpisim
+// hang watchdog, and fatal signals all trigger an automatic dump in the
+// `tricount.flight.v1` JSONL format, so the last few thousand events per
+// rank survive exactly the runs that lose their post-mortem artifacts.
 //
 // Concurrency: rank threads write only their own ring (plus one trailing
 // ring shared by non-rank threads, claimed per-slot via an atomic head),
@@ -55,8 +55,8 @@ class FlightRecorder {
   int ranks() const { return ranks_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Publishes this recorder as the process-wide current one (mirrors
-  /// Tracer::install). The recorder must outlive the run it observes.
+  /// Publishes this recorder as the process-wide current one. The
+  /// recorder must outlive the run it observes.
   void install();
   void uninstall();
   static FlightRecorder* current();
@@ -116,6 +116,26 @@ class FlightRecorder {
   std::string auto_dump_dir_;
   std::atomic<bool> auto_dumped_{false};
   std::mutex dump_mutex_;
+};
+
+/// RAII span on the installed flight recorder; a no-op (one relaxed
+/// atomic load) when none is installed.
+class ScopedSpan {
+ public:
+  ScopedSpan(const char* name, const char* cat)
+      : flight_(FlightRecorder::current()), name_(name), cat_(cat) {
+    if (flight_ != nullptr) flight_->span_begin(name_, cat_);
+  }
+  ~ScopedSpan() {
+    if (flight_ != nullptr) flight_->span_end(name_, cat_);
+  }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  FlightRecorder* flight_;
+  const char* name_;
+  const char* cat_;
 };
 
 // --- tricount.flight.v1 files ---------------------------------------------

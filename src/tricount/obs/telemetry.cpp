@@ -133,25 +133,6 @@ void Telemetry::publish(const std::string& path) const {
   }
 }
 
-void Telemetry::export_memory_gauges(Registry& registry) const {
-  std::uint64_t graph = 0;
-  std::uint64_t partition = 0;
-  std::uint64_t scratch = 0;
-  std::uint64_t mailbox = 0;
-  for (int r = 0; r < ranks_; ++r) {
-    const RankTelemetry& t = slots_[static_cast<std::size_t>(r)];
-    graph += t.graph_bytes.load(std::memory_order_relaxed);
-    partition += t.partition_bytes.load(std::memory_order_relaxed);
-    scratch += t.scratch_bytes.load(std::memory_order_relaxed);
-    mailbox += t.mailbox_bytes.load(std::memory_order_relaxed);
-  }
-  registry.gauge("obs.mem.graph_bytes").set(static_cast<double>(graph));
-  registry.gauge("obs.mem.partition_bytes")
-      .set(static_cast<double>(partition));
-  registry.gauge("obs.mem.scratch_bytes").set(static_cast<double>(scratch));
-  registry.gauge("obs.mem.mailbox_bytes").set(static_cast<double>(mailbox));
-}
-
 std::string render_telemetry(const json::Value& snapshot) {
   const json::Value* schema = snapshot.find("schema");
   if (schema == nullptr || !schema->is_string() ||

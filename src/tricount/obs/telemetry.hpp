@@ -7,8 +7,7 @@
 // rolling tc.* counters. Producers store with relaxed ordering on the
 // hot path; any thread may render a consistent-enough JSON snapshot
 // (tricount.telemetry.v1) at any time and publish it atomically
-// (tmp + rename), which is what `tricount_top` and `tricount_perf
-// watch` poll.
+// (tmp + rename), which is what `tricount_top` polls.
 #pragma once
 
 #include <atomic>
@@ -17,7 +16,6 @@
 #include <string>
 
 #include "tricount/obs/json.hpp"
-#include "tricount/obs/metrics.hpp"
 
 namespace tricount::obs {
 
@@ -71,7 +69,7 @@ class Telemetry {
   /// ranks outside this telemetry's world.
   RankTelemetry* for_caller();
 
-  /// Publishes this instance process-wide (mirrors Tracer::install).
+  /// Publishes this instance process-wide.
   /// Must outlive every world it observes: mpisim::World wires mailbox
   /// queue-depth gauges straight at these atomics.
   void install();
@@ -91,11 +89,6 @@ class Telemetry {
   /// a concurrent reader never sees a torn file.
   void publish(const std::string& path) const;
 
-  /// Exports the memory-accounting totals as gauges ("obs.mem.*") into a
-  /// metrics registry — deliberately *not* wired into the run artifact
-  /// (baseline byte-stability), but available to ad-hoc consumers.
-  void export_memory_gauges(Registry& registry) const;
-
  private:
   int ranks_ = 0;
   std::unique_ptr<RankTelemetry[]> slots_;  // atomics: not vector-movable
@@ -103,7 +96,7 @@ class Telemetry {
 };
 
 /// Renders a tricount.telemetry.v1 snapshot as the fixed-width table
-/// tricount_top and `tricount_perf watch` print. Throws
+/// tricount_top prints. Throws
 /// std::runtime_error on a wrong schema.
 std::string render_telemetry(const json::Value& snapshot);
 

@@ -1,19 +1,12 @@
-// Per-rank event tracing with Chrome trace-event JSON export.
+// Chrome trace-event container: the modeled run timeline written by
+// `count --trace-out` and the input tricount_trace_lint validates.
 //
-// Two producers feed the same Trace container:
-//
-//  * The live Tracer: ranks record begin/end spans and instant events into
-//    per-rank buffers. Each buffer is written only by its own rank's
-//    thread (the rank id comes from the thread-local set by
-//    mpisim::run_world), so recording takes no locks. When no tracer is
-//    installed every hook is a single relaxed atomic load — the disabled
-//    path adds no per-message work.
-//
-//  * The modeled run trace (core/artifacts.hpp): built after a run from
-//    the per-superstep samples, on a virtual timeline where superstep
-//    boundaries are aligned across ranks and communication spans are
-//    drawn from the α–β model, so the timeline totals match
-//    PhaseBreakdown::modeled_seconds exactly.
+// The modeled run trace (core/artifacts.hpp) is built after a run from
+// the per-superstep samples, on a virtual timeline where superstep
+// boundaries are aligned across ranks and communication spans are drawn
+// from the α–β model, so the timeline totals match
+// PhaseBreakdown::modeled_seconds exactly. Live spans and instants go to
+// the flight recorder (flight.hpp), not here.
 //
 // The export format is the Chrome trace-event JSON array understood by
 // chrome://tracing and Perfetto: one process, one "thread" per rank
@@ -21,13 +14,10 @@
 // See docs/observability.md for the schema.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 
 namespace tricount::obs {
@@ -77,84 +67,5 @@ class Trace {
 /// known phase codes, and — per tid — spans that either nest properly or
 /// are disjoint (no partial overlap).
 std::vector<std::string> lint_trace(const Trace& trace);
-
-/// Live tracer. Create with the world size, install(), run, collect().
-class Tracer {
- public:
-  explicit Tracer(int ranks);
-  ~Tracer();
-
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// Makes this tracer the process-wide recording target. Install before
-  /// run_world; only one tracer can be installed at a time.
-  void install();
-  void uninstall();
-
-  /// The installed tracer, or nullptr (the common, zero-cost case).
-  static Tracer* current() {
-    return g_current.load(std::memory_order_relaxed);
-  }
-
-  /// Opens a span on the calling thread's rank timeline. Timestamps are
-  /// wall-clock microseconds since the tracer was created.
-  void begin(const char* name, const char* cat);
-  /// Closes the innermost open span on the calling thread's rank.
-  void end();
-  void instant(const char* name, const char* cat);
-
-  int ranks() const { return ranks_; }
-
-  /// Merges all per-rank buffers into one Trace (call after the world has
-  /// joined). Throws std::logic_error if any rank left a span open.
-  Trace collect() const;
-
- private:
-  struct Buffer {
-    std::vector<TraceEvent> events;
-    std::vector<std::size_t> open;  ///< indices of unclosed spans
-  };
-
-  Buffer& buffer_for_caller();
-  double now_us() const;
-
-  static std::atomic<Tracer*> g_current;
-
-  int ranks_;
-  double epoch_seconds_;
-  /// One buffer per rank plus one trailing buffer for non-rank threads
-  /// (the driver thread before/after run_world).
-  std::vector<Buffer> buffers_;
-};
-
-/// RAII span against the installed tracer AND the installed flight
-/// recorder; all-no-op when neither is. Routing both through the one
-/// RAII type means every existing span site (checkpoint, intersect,
-/// shift, recover, ...) lands in the flight ring for free.
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, const char* cat)
-      : tracer_(Tracer::current()), flight_(FlightRecorder::current()) {
-    if (tracer_ != nullptr) tracer_->begin(name, cat);
-    if (flight_ != nullptr) {
-      flight_->span_begin(name, cat);
-      name_ = name;
-      cat_ = cat;
-    }
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) tracer_->end();
-    if (flight_ != nullptr) flight_->span_end(name_, cat_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Tracer* tracer_;
-  FlightRecorder* flight_;
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
-};
 
 }  // namespace tricount::obs

@@ -7,12 +7,12 @@
 #include <unordered_set>
 #include <utility>
 
+#include "tricount/core/superstep.hpp"
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/util/blob.hpp"
 #include "tricount/util/rng.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::stream {
 
@@ -324,20 +324,21 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
     }
   }
 
-  // --- counting (pure; restartable under a chaos crash) ------------------
-  kernels::IntersectScratch scratch;
-  std::size_t max_row = 16;
+  // --- counting: engine superstep 0 (pure, so a crash replays it) -------
+  std::size_t max_row = 0;
   for (const DeltaOp& op : batch.ops) {
     max_row = std::max<std::size_t>(
         {max_row, state.neighbors(op.edge.u).size(),
          state.neighbors(op.edge.v).size()});
   }
-  scratch.reserve_for(max_row);
+  core::SuperstepEngine engine(comm, core::Config{}, /*supersteps=*/1,
+                               max_row);
+  kernels::IntersectScratch& scratch = engine.scratch();
+  kernels::KernelCounters& kernel = engine.kernel();
 
   std::vector<VertexId> u_shard;
   std::vector<VertexId> corners;
-  const auto compute = [&] {
-    scratch.reset_probes();
+  const auto count = [&] {
     for (std::size_t i = 0; i < batch.ops.size(); ++i) {
       const DeltaOp& op = batch.ops[i];
       const Edge e = op.edge;
@@ -359,11 +360,11 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
       }
       if (v_shard.empty()) continue;
 
-      ++out.kernel.rows_visited;
-      ++out.kernel.intersection_tasks;
+      ++kernel.rows_visited;
+      ++kernel.intersection_tasks;
       scratch.begin_row(u_shard, /*allow_direct=*/true);
       const TriangleCount counted = scratch.task(
-          config.kernel, v_shard, /*backward_early_exit=*/false, out.kernel);
+          config.kernel, v_shard, /*backward_early_exit=*/false, kernel);
       merge_corners(u_shard, v_shard, corners);
       if (counted != corners.size()) {
         throw std::runtime_error(
@@ -415,24 +416,16 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
     }
   };
 
-  const mpisim::FaultInjector* injector = comm.world().fault_injector();
-  const int crash_step =
-      injector != nullptr ? injector->crash_superstep(rank) : -1;
-  compute();
-  if (crash_step >= 0) {
-    // One-shot fail-restart: discard this rank's results and replay the
-    // compute from the buffered shards (peers are unaffected; the
-    // exchange already completed).
-    mpisim::ChaosCounters& cc = comm.world().chaos_counters(rank);
-    cc.crashes += 1;
-    const double t0 = util::thread_cpu_seconds();
+  // A scheduled crash at superstep 0 discards this rank's lists and
+  // replays from the buffered shards (peers are unaffected; the exchange
+  // already completed).
+  engine.begin(0);
+  engine.checkpoint();
+  engine.compute(count, [&] {
     out.destroyed.clear();
     out.created.clear();
-    out.kernel = kernels::KernelCounters{};
-    compute();
-    cc.recoveries += 1;
-    cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-  }
+  });
+  out.kernel = kernel;
   out.kernel.probes = scratch.probes();
 
   // Agreement handshake: every rank must observe the same signed totals.

@@ -7,8 +7,8 @@
 //   [   0.001234] [r007] [DEBUG] shift 3 done
 //
 // The rank is a thread-local set by mpisim::run_world for each rank
-// thread ([r---] outside a world). The same thread-local feeds the
-// obs::Tracer per-rank buffers.
+// thread ([r---] outside a world). The same thread-local picks the
+// obs::FlightRecorder ring a rank's spans and instants land in.
 #pragma once
 
 #include <cstdarg>

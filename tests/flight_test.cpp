@@ -1,9 +1,10 @@
 // Flight-recorder + live-telemetry tests (docs/observability.md): the
 // ring-buffer overwrite/dropped accounting, the tricount.flight.v1 dump
 // and lint round trip, the two automatic dump triggers (chaos crash
-// injection and the hang watchdog) against real runs, the telemetry
-// snapshot/publish/render path, the memory-accounting gauges, and the
-// quantile edge cases the telemetry views depend on.
+// injection and the hang watchdog) against real runs, the chaos fault
+// instants in a capture session's exit dump, the telemetry
+// snapshot/publish/render path, and the quantile edge cases the
+// telemetry views depend on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +24,10 @@
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/build_info.hpp"
+#include "tricount/obs/capture.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/metrics.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 #include "tricount/util/build.hpp"
 
 namespace tricount {
@@ -120,11 +121,16 @@ TEST(FlightRecorder, ScopedSpansFeedTheInstalledRecorder) {
     obs::ScopedSpan span("unit.work", "test");
   }
   recorder.uninstall();
+  {
+    // No recorder installed: the span is a no-op, not a crash.
+    obs::ScopedSpan span("unit.ignored", "test");
+  }
   recorder.dump(dir, "unit-test");
   const obs::FlightDump world =
       obs::read_flight_dump(dir + "/flight-world.jsonl");
   EXPECT_TRUE(has_record(world, "begin", "unit.work"));
   EXPECT_TRUE(has_record(world, "end", "unit.work"));
+  EXPECT_FALSE(has_record(world, "begin", "unit.ignored"));
 }
 
 TEST(FlightRecorder, AutoDumpFiresOnceAndOnlyWhenArmed) {
@@ -227,6 +233,69 @@ TEST(FlightRecorder, WatchdogStallDumpsBeforeFailingTheWorld) {
   EXPECT_TRUE(has_record(world, "instant", "watchdog.stall"));
 }
 
+TEST(FlightRecorder, ExitDumpCarriesOneChaosDropInstantPerInjectedDrop) {
+  const int ranks = 4;  // q = 2
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(96, 6, 0.2, 5));
+
+  struct Captured {
+    core::RunResult result;
+    std::size_t drops = 0;
+    std::size_t chaos_records = 0;
+  };
+  // One capture session around a 2d count, with rings large enough never
+  // to wrap: tallies the chaos.drop instants and all chaos-category
+  // records across its exit dump.
+  const auto capture = [&](const std::string& name,
+                           std::shared_ptr<const chaos::FaultPlan> plan) {
+    const std::string dir = fresh_dump_dir(name);
+    obs::CaptureOptions options;
+    options.ranks = ranks;
+    options.flight_capacity = std::size_t{1} << 16;
+    options.dump_dir = dir;
+    options.dump_on_exit = true;
+    options.shutdown = obs::ShutdownMode::kFlagOnly;
+    Captured out;
+    {
+      const obs::CaptureSession session(options);
+      core::RunOptions run;
+      run.chaos = std::move(plan);
+      out.result = core::count_triangles_2d(g, ranks, run);
+    }
+    const std::vector<std::string> files = dump_files(dir);
+    EXPECT_EQ(files.size(), static_cast<std::size_t>(ranks) + 1);
+    for (const std::string& file : files) {
+      const obs::FlightDump dump = obs::read_flight_dump(file);
+      EXPECT_TRUE(obs::lint_flight(dump).empty()) << file;
+      EXPECT_EQ(dump.header.get("reason").as_string(), "exit") << file;
+      EXPECT_EQ(dump.header.get("dropped").as_number(), 0.0) << file;
+      for (const obs::json::Value& rec : dump.records) {
+        if (rec.get("cat").as_string() == "chaos") ++out.chaos_records;
+        if (rec.get("kind").as_string() == "instant" &&
+            rec.get("name").as_string() == "chaos.drop") {
+          ++out.drops;
+        }
+      }
+    }
+    return out;
+  };
+
+  chaos::FaultSpec spec;
+  spec.seed = test_support::chaos_seed();
+  spec.drop_rate = 0.1;
+  spec.retry_timeout_seconds = 2e-3;
+  const Captured faulty = capture(
+      "drops", std::make_shared<const chaos::FaultPlan>(spec, ranks));
+  const std::uint64_t injected = faulty.result.total_chaos().drops_injected;
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(faulty.drops, injected);
+
+  // A fault-free run's dump carries no chaos records at all.
+  const Captured clean = capture("nodrops", nullptr);
+  EXPECT_EQ(clean.result.triangles, faulty.result.triangles);
+  EXPECT_EQ(clean.chaos_records, 0u);
+}
+
 // --- live telemetry --------------------------------------------------------
 
 TEST(Telemetry, SnapshotPublishesAndRendersAtomically) {
@@ -283,30 +352,6 @@ TEST(Telemetry, TracksALiveRunThroughCompletion) {
     triangles += t.triangles.load(std::memory_order_relaxed);
   }
   EXPECT_EQ(triangles, static_cast<std::uint64_t>(r.triangles));
-}
-
-TEST(Telemetry, ExportsMemoryGaugesThatRoundTripThroughSnapshots) {
-  obs::Telemetry telemetry(2);
-  telemetry.rank(0).graph_bytes.store(100, std::memory_order_relaxed);
-  telemetry.rank(1).graph_bytes.store(28, std::memory_order_relaxed);
-  telemetry.rank(0).partition_bytes.store(64, std::memory_order_relaxed);
-  telemetry.rank(1).scratch_bytes.store(32, std::memory_order_relaxed);
-  telemetry.rank(0).mailbox_bytes.store(16, std::memory_order_relaxed);
-
-  obs::Registry registry;
-  registry.counter("tc.triangles").inc(9);
-  telemetry.export_memory_gauges(registry);
-
-  // The gauges survive a JSON round trip alongside ordinary metrics —
-  // the contract ad-hoc consumers (not the run artifact) rely on.
-  const obs::Snapshot before = registry.snapshot();
-  const obs::Snapshot after = obs::Snapshot::from_json(before.to_json());
-  EXPECT_EQ(after, before);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.graph_bytes"), 128.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.partition_bytes"), 64.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.scratch_bytes"), 32.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.mailbox_bytes"), 16.0);
-  EXPECT_EQ(after.counters.at("tc.triangles"), 9u);
 }
 
 // --- quantile edge cases (feeds tricount_top / the perf report) ------------

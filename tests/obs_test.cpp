@@ -1,8 +1,7 @@
-// Observability layer: JSON round-trips, the live tracer, the metrics
-// registry, the mpisim communication matrix, and the exported run
-// artifacts (trace + metrics) of a full 2D counting run.
+// Observability layer: JSON round-trips, the metrics registry, the
+// mpisim communication matrix, and the exported run artifacts (modeled
+// trace + metrics) of a full 2D counting run.
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -53,59 +52,6 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(obs::json::Value::parse("{\"a\": }"), std::runtime_error);
   EXPECT_THROW(obs::json::Value::parse("[1, 2"), std::runtime_error);
   EXPECT_THROW(obs::json::Value::parse("{} trailing"), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// live tracer
-
-TEST(Tracer, ProducesValidParseableTrace) {
-  constexpr int kRanks = 4;
-  obs::Tracer tracer(kRanks);
-  tracer.install();
-  mpisim::run_world(kRanks, [](mpisim::Comm& comm) {
-    obs::ScopedSpan outer("superstep", "test");
-    mpisim::barrier(comm);
-    std::vector<std::uint64_t> data(8, static_cast<std::uint64_t>(comm.rank()));
-    mpisim::allreduce(comm, data, std::plus<std::uint64_t>());
-    if (comm.rank() == 0) {
-      obs::Tracer::current()->instant("checkpoint", "test");
-    }
-  });
-  tracer.uninstall();
-
-  const obs::Trace collected = tracer.collect();
-  EXPECT_FALSE(collected.events().empty());
-
-  // Export -> parse back -> same number of events, lint-clean.
-  const std::string text = collected.to_json().dump(2);
-  const obs::Trace reparsed =
-      obs::Trace::from_json(obs::json::Value::parse(text));
-  EXPECT_EQ(reparsed.events().size(), collected.events().size());
-  EXPECT_TRUE(obs::lint_trace(reparsed).empty());
-
-  // Every rank's timeline (tid = rank + 1) recorded its superstep span,
-  // and span nesting balanced (collect() would have thrown otherwise).
-  std::set<int> tids_with_superstep;
-  for (const obs::TraceEvent& e : collected.events()) {
-    if (e.name == "superstep") tids_with_superstep.insert(e.tid);
-  }
-  for (int r = 0; r < kRanks; ++r) {
-    EXPECT_TRUE(tids_with_superstep.count(r + 1)) << "rank " << r;
-  }
-}
-
-TEST(Tracer, UnbalancedSpanIsAnError) {
-  obs::Tracer tracer(1);
-  tracer.install();
-  tracer.begin("never closed", "test");
-  tracer.uninstall();
-  EXPECT_THROW(tracer.collect(), std::logic_error);
-}
-
-TEST(Tracer, DisabledTracingRecordsNothing) {
-  ASSERT_EQ(obs::Tracer::current(), nullptr);
-  // No tracer installed: spans must be no-ops, not crashes.
-  obs::ScopedSpan span("ignored", "test");
 }
 
 // ---------------------------------------------------------------------------

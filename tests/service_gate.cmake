@@ -5,6 +5,7 @@
 #   DAEMON    path to tricountd
 #   LINT      path to tricount_trace_lint
 #   CLIENT    path to tricount_client
+#   TOP       path to tricount_top
 #   WORK_DIR  scratch directory for the graph, script, and artifacts
 #
 # Part 1: generates rmat_s8, takes a reference count from the batch
@@ -14,7 +15,9 @@
 # It asserts the daemon exits 0, every served triangle count equals the
 # CLI's reference — including a 2d recount after a graph.apply insert
 # and its reverting delete — the cache saw hits, and the session
-# artifact passes `tricount_trace_lint --service`.
+# artifact passes `tricount_trace_lint --service`. The daemon also
+# publishes --telemetry; `tricount_top --once` must render its final
+# snapshot with a service line counting every scripted request.
 #
 # Parts 2 and 3: socket-mode sessions through tricount_client, run as a
 # concurrent execute_process pipeline (daemon + client side by side).
@@ -71,9 +74,10 @@ file(WRITE ${SCRIPT} "{\"id\":1,\"verb\":\"hello\"}
 ")
 
 set(ARTIFACTS ${WORK_DIR}/artifacts)
+set(TELEMETRY ${WORK_DIR}/telemetry.json)
 execute_process(
   COMMAND ${DAEMON} --graph ${GRAPH} --ranks 4 --script ${SCRIPT}
-          --artifacts-dir ${ARTIFACTS}
+          --artifacts-dir ${ARTIFACTS} --telemetry ${TELEMETRY}
   WORKING_DIRECTORY ${WORK_DIR}
   OUTPUT_VARIABLE responses
   RESULT_VARIABLE status)
@@ -124,6 +128,23 @@ execute_process(
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "service_gate: session artifact failed lint (${status})")
+endif()
+# The final telemetry snapshot is written after the drain, so its
+# service line counts every request in the script.
+file(STRINGS ${SCRIPT} script_lines REGEX "verb")
+list(LENGTH script_lines n_requests)
+execute_process(
+  COMMAND ${TOP} --file ${TELEMETRY} --once
+  OUTPUT_VARIABLE top_output
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "service_gate: tricount_top exited ${status}")
+endif()
+string(REGEX MATCH "service: [^\n]*, ([0-9]+) reqs" _ "${top_output}")
+if(NOT CMAKE_MATCH_1 EQUAL n_requests)
+  message(FATAL_ERROR
+          "service_gate: telemetry service line does not count the "
+          "${n_requests} scripted requests:\n${top_output}")
 endif()
 message(STATUS "service_gate: OK (${EXPECTED} triangles across 6 served counts)")
 

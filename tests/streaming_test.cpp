@@ -2,7 +2,8 @@
 // the randomized differential campaign proving incrementally maintained
 // counts exactly equal cold recounts across insert/delete/mixed/windowed
 // schedules × kernel policies × rank counts, typed batch rejections,
-// delta replay under chaos faults (including a crash), the sliding
+// delta replay under chaos faults (including a crash, which auto-dumps
+// the flight ring like every other counter's), the sliding
 // window's eviction order, the DOULION sampled estimator (exact at
 // retention 1, unbiased at retention < 1, maintained == rebuilt), and
 // the service-layer wiring (graph.apply / graph.window / delta.stats /
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/service/service.hpp"
 #include "tricount/stream/stream.hpp"
@@ -332,6 +335,51 @@ TEST(StreamChaos, DeltaReplayUnderFaults) {
     expect_matches_cold(chaotic_state,
                         "chaos round " + std::to_string(round));
   }
+}
+
+TEST(StreamChaos, CrashAutoDumpsTheFlightRingLikeEveryCounter) {
+  const auto& entry = test_support::corpus().front();
+  stream::StreamState state = stream::StreamState::from_graph(entry.graph);
+  util::Xoshiro256 rng(
+      util::stream_seed(test_support::chaos_seed(), 0xf1167));
+  const stream::Batch batch = random_batch(rng, state, Mode::kMixed, 10);
+  ASSERT_FALSE(batch.ops.empty());
+  const stream::DeltaResult clean = stream::count_delta_world(4, state, batch);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "stream_crash_flight";
+  std::filesystem::remove_all(dir);
+  obs::FlightRecorder recorder(4);
+  recorder.set_auto_dump_dir(dir.string());
+  recorder.install();
+  chaos::FaultSpec spec;
+  spec.seed = rng();
+  spec.crash_superstep = 0;
+  const chaos::FaultPlan plan(spec, 4);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  const stream::DeltaResult crashed =
+      stream::count_delta_world(4, state, batch, {}, options);
+  recorder.uninstall();
+
+  EXPECT_EQ(crashed.removed(), clean.removed());
+  EXPECT_EQ(crashed.added(), clean.added());
+  ASSERT_TRUE(recorder.auto_dumped());
+  const std::string file =
+      (dir / ("flight-r00" + std::to_string(plan.crash_rank()) + ".jsonl"))
+          .string();
+  const obs::FlightDump dump = obs::read_flight_dump(file);
+  EXPECT_TRUE(obs::lint_flight(dump).empty());
+  EXPECT_EQ(dump.header.get("reason").as_string(), "chaos-crash");
+  bool crash_instant = false;
+  for (const Value& rec : dump.records) {
+    if (rec.get("kind").as_string() == "instant" &&
+        rec.get("name").as_string() == "chaos.crash") {
+      crash_instant = true;
+      EXPECT_EQ(rec.get("value").as_number(), 0.0);
+    }
+  }
+  EXPECT_TRUE(crash_instant);
 }
 
 // --- sliding window ------------------------------------------------------

@@ -18,17 +18,11 @@
 //   tricount_cli pervertex --file g.mtx --ranks 9 --top 5
 //   tricount_cli summary --file m.json --comm-matrix
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "tricount/chaos/options.hpp"
@@ -41,10 +35,7 @@
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/graph/stats.hpp"
 #include "tricount/kernels/kernels.hpp"
-#include "tricount/obs/flight.hpp"
-#include "tricount/obs/graceful.hpp"
-#include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
+#include "tricount/obs/capture.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/build.hpp"
 #include "tricount/util/log.hpp"
@@ -217,120 +208,6 @@ void print_comm_heatmap(const mpisim::CommMatrix& matrix) {
   print_comm_heatmap(bytes);
 }
 
-/// Owns the flight recorder, live telemetry, and the optional snapshot
-/// publisher thread for one `count` run (docs/observability.md). Scope
-/// exit tears everything down — including during exception unwinding, so
-/// a watchdog-stall ChaosError still leaves the auto dump behind and no
-/// installed recorder dangling.
-class FlightSession {
- public:
-  FlightSession(const util::ArgParser& args, int ranks) {
-    if (args.get("flight") == "off") return;
-    const auto capacity = static_cast<std::size_t>(
-        std::max<long long>(args.get_int("flight-capacity"), 1));
-    dump_dir_ = args.get("flight-dump");
-    dump_on_exit_ = args.get_bool("flight-dump-on-exit");
-    recorder_ = std::make_unique<obs::FlightRecorder>(ranks, capacity);
-    recorder_->set_auto_dump_dir(dump_dir_);
-    recorder_->install();
-    obs::FlightRecorder::install_signal_handlers();
-    telemetry_ = std::make_unique<obs::Telemetry>(ranks);
-    telemetry_->install();
-    telemetry_path_ = args.get("flight-telemetry");
-    // Operator signals (ctrl-C, kill) salvage the same artifacts the
-    // fatal-signal path does, then exit 0 instead of dying mid-run.
-    obs::set_shutdown_telemetry(telemetry_.get(), telemetry_path_);
-    obs::install_shutdown_handlers(obs::ShutdownMode::kFlushAndExit);
-    if (!telemetry_path_.empty()) {
-      const auto interval = std::chrono::milliseconds(std::max<long long>(
-          args.get_int("flight-telemetry-interval-ms"), 10));
-      publisher_ = std::thread([this, interval] {
-        util::set_thread_label("tlm");
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!stop_) {
-          lock.unlock();
-          try {
-            telemetry_->publish(telemetry_path_);
-          } catch (const std::exception&) {
-            // Best-effort: a failed snapshot must never fail the run.
-          }
-          lock.lock();
-          cv_.wait_for(lock, interval, [this] { return stop_; });
-        }
-      });
-    }
-  }
-
-  ~FlightSession() {
-    obs::set_shutdown_telemetry(nullptr, "");
-    if (publisher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      publisher_.join();
-      try {
-        telemetry_->publish(telemetry_path_);  // final (post-run) snapshot
-      } catch (const std::exception&) {
-      }
-    }
-    if (telemetry_ != nullptr) telemetry_->uninstall();
-    if (recorder_ != nullptr) {
-      if (dump_on_exit_ && !recorder_->auto_dumped()) {
-        try {
-          recorder_->dump(dump_dir_, "exit");
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "flight: exit dump failed: %s\n", e.what());
-        }
-      }
-      recorder_->uninstall();
-    }
-  }
-
-  FlightSession(const FlightSession&) = delete;
-  FlightSession& operator=(const FlightSession&) = delete;
-
- private:
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::unique_ptr<obs::Telemetry> telemetry_;
-  std::thread publisher_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool dump_on_exit_ = false;
-  std::string dump_dir_;
-  std::string telemetry_path_;
-};
-
-/// Owns the causal message-trace capture for one `count` run. Separate
-/// from FlightSession because msgtrace is off by default (capture adds a
-/// record per message; the flight recorder is cheap enough to stay on):
-/// no --msgtrace means no MsgTrace is ever constructed, so off-mode runs
-/// and their artifacts are byte-identical to pre-msgtrace builds.
-class MsgTraceSession {
- public:
-  MsgTraceSession(const util::ArgParser& args, int ranks) {
-    if (!args.get_bool("msgtrace")) return;
-    const auto capacity = static_cast<std::size_t>(
-        std::max<long long>(args.get_int("msgtrace-capacity"), 1));
-    trace_ = std::make_unique<obs::MsgTrace>(ranks, capacity);
-    trace_->install();
-  }
-
-  ~MsgTraceSession() {
-    if (trace_ != nullptr) trace_->uninstall();
-  }
-
-  MsgTraceSession(const MsgTraceSession&) = delete;
-  MsgTraceSession& operator=(const MsgTraceSession&) = delete;
-
-  const obs::MsgTrace* trace() const { return trace_.get(); }
-
- private:
-  std::unique_ptr<obs::MsgTrace> trace_;
-};
-
 int cmd_count(int argc, const char* const* argv) {
   util::ArgParser args("tricount_cli count",
                        "Distributed triangle counting.");
@@ -385,7 +262,7 @@ int cmd_count(int argc, const char* const* argv) {
                 "also dump the flight rings when the run ends");
   args.add_option("flight-telemetry", "",
                   "publish live tricount.telemetry.v1 snapshots to this "
-                  "path (read by tricount_top / tricount_perf watch)");
+                  "path (read by tricount_top)");
   args.add_option("flight-telemetry-interval-ms", "200",
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,
@@ -430,8 +307,20 @@ int cmd_count(int argc, const char* const* argv) {
       return 1;
     }
   }
-  FlightSession flight_session(args, ranks);
-  MsgTraceSession msgtrace_session(args, ranks);
+  obs::CaptureOptions capture;
+  capture.ranks = ranks;
+  capture.flight = args.get("flight") != "off";
+  capture.flight_capacity = static_cast<std::size_t>(
+      std::max<long long>(args.get_int("flight-capacity"), 1));
+  capture.dump_dir = args.get("flight-dump");
+  capture.dump_on_exit = args.get_bool("flight-dump-on-exit");
+  capture.telemetry_path = args.get("flight-telemetry");
+  capture.telemetry_interval_ms = args.get_int("flight-telemetry-interval-ms");
+  if (args.get_bool("msgtrace")) {
+    capture.msgtrace_capacity = static_cast<std::size_t>(
+        std::max<long long>(args.get_int("msgtrace-capacity"), 1));
+  }
+  const obs::CaptureSession capture_session(capture);
   const core::RunResult result =
       core::count_triangles(algorithm, g, ranks, options);
   if (!result.per_rank_cetric.empty()) {
@@ -469,8 +358,8 @@ int cmd_count(int argc, const char* const* argv) {
     core::write_run_metrics(result, args.get("metrics-out"));
     std::printf("wrote metrics: %s\n", args.get("metrics-out").c_str());
   }
-  if (msgtrace_session.trace() != nullptr) {
-    core::write_run_msgtrace(result, *msgtrace_session.trace(),
+  if (capture_session.msgtrace() != nullptr) {
+    core::write_run_msgtrace(result, *capture_session.msgtrace(),
                              args.get("msgtrace-out"));
     std::printf("wrote msgtrace: %s\n", args.get("msgtrace-out").c_str());
   }

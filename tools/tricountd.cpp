@@ -22,21 +22,18 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "tricount/graph/io.hpp"
 #include "tricount/kernels/kernels.hpp"
-#include "tricount/obs/flight.hpp"
+#include "tricount/obs/capture.hpp"
 #include "tricount/obs/graceful.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/service/service.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/log.hpp"
@@ -238,15 +235,14 @@ int main(int argc, char** argv) {
     // Observability: flight recorder armed for crashes, telemetry
     // installed before the service so its gauges register, INT/TERM in
     // flag mode so the frontend loops drain before exiting.
-    obs::FlightRecorder recorder(options.ranks);
-    recorder.set_auto_dump_dir(options.artifacts_dir.empty()
-                                   ? "flight-dumps"
-                                   : options.artifacts_dir);
-    recorder.install();
-    obs::FlightRecorder::install_signal_handlers();
-    obs::Telemetry telemetry(options.ranks);
-    telemetry.install();
-    obs::install_shutdown_handlers(obs::ShutdownMode::kFlagOnly);
+    obs::CaptureOptions capture;
+    capture.ranks = options.ranks;
+    capture.dump_dir = options.artifacts_dir.empty() ? "flight-dumps"
+                                                     : options.artifacts_dir;
+    capture.shutdown = obs::ShutdownMode::kFlagOnly;
+    capture.telemetry_path = args.get("telemetry");
+    capture.telemetry_interval_ms = args.get_int("telemetry-interval-ms");
+    obs::CaptureSession capture_session(capture);
 
     ResponseRouter router;
     service::Service svc(options,
@@ -262,31 +258,6 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(svc.graph_version()));
     }
 
-    // Optional live-telemetry publisher.
-    std::thread publisher;
-    std::mutex publisher_mutex;
-    std::condition_variable publisher_cv;
-    bool publisher_stop = false;
-    const std::string telemetry_path = args.get("telemetry");
-    if (!telemetry_path.empty()) {
-      const auto interval = std::chrono::milliseconds(
-          std::max<long long>(args.get_int("telemetry-interval-ms"), 10));
-      publisher = std::thread([&] {
-        util::set_thread_label("tlm");
-        std::unique_lock<std::mutex> lock(publisher_mutex);
-        while (!publisher_stop) {
-          lock.unlock();
-          try {
-            telemetry.publish(telemetry_path);
-          } catch (const std::exception&) {
-          }
-          lock.lock();
-          publisher_cv.wait_for(lock, interval,
-                                [&] { return publisher_stop; });
-        }
-      });
-    }
-
     int exit_code = 0;
     const std::string script = args.get("script");
     const std::string socket_path = args.get("socket");
@@ -298,29 +269,15 @@ int main(int argc, char** argv) {
       run_stdio(svc);  // default frontend, also behind --stdio
     }
 
-    // Drain in-flight requests, flush the session artifact, stop the
-    // publisher, and leave a final telemetry snapshot behind.
+    // Drain in-flight requests and flush the session artifact, then leave
+    // a final telemetry snapshot behind while the service's gauges are
+    // still registered.
     svc.shutdown();
-    if (publisher.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(publisher_mutex);
-        publisher_stop = true;
-      }
-      publisher_cv.notify_all();
-      publisher.join();
-    }
-    if (!telemetry_path.empty()) {
-      try {
-        telemetry.publish(telemetry_path);
-      } catch (const std::exception&) {
-      }
-    }
+    capture_session.stop_publisher();
     if (obs::shutdown_requested()) {
       TRICOUNT_LOG_INFO("tricountd: graceful shutdown (signal %d)",
                         obs::shutdown_signal());
     }
-    telemetry.uninstall();
-    recorder.uninstall();
     return exit_code;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tricountd: error: %s\n", e.what());
