@@ -50,12 +50,15 @@ BlockCsr shift_block(mpisim::Comm& comm, BlockCsr block, int dest, int src,
                                 std::move(entries));
 }
 
-}  // namespace
-
-TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
-                               const BlockCsr& lblock, const Config& config,
-                               kernels::IntersectScratch& scratch,
-                               KernelCounters& counters) {
+/// The task loop of one compute step. `on_triangle(r, e, t)` receives
+/// each closed triangle in block-local ids: task row r, task entry e, and
+/// closing column t.
+template <class OnTriangle>
+TriangleCount intersect_tasks(const BlockCsr& tasks, const BlockCsr& ublock,
+                              const BlockCsr& lblock, const Config& config,
+                              kernels::IntersectScratch& scratch,
+                              KernelCounters& counters,
+                              OnTriangle on_triangle) {
   TriangleCount found = 0;
 
   auto process_row = [&](VertexId r) {
@@ -73,7 +76,8 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
       if (lrow.empty()) continue;
       ++counters.intersection_tasks;
       found += scratch.task(config.kernel, lrow, config.backward_early_exit,
-                            counters);
+                            counters,
+                            [&](VertexId t) { on_triangle(r, e, t); });
     }
   };
 
@@ -85,12 +89,26 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
   return found;
 }
 
+}  // namespace
+
+TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
+                               const BlockCsr& lblock, const Config& config,
+                               kernels::IntersectScratch& scratch,
+                               KernelCounters& counters) {
+  return intersect_tasks(tasks, ublock, lblock, config, scratch, counters,
+                         [](VertexId, VertexId, VertexId) {});
+}
+
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
-                         const Config& config) {
+                         const Config& config, TriangleSink* sink) {
   mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
   CountOutput out;
   SuperstepEngine engine(comm, config, q, blocks.ublock.max_row_degree());
+  const auto qv = static_cast<VertexId>(q);
+  const auto x = static_cast<VertexId>(grid.row());
+  const auto y = static_cast<VertexId>(grid.col());
+  VertexId z = 0;  // the column block of U this superstep holds
 
   /// The blocks as they were when the superstep started — what a crashed
   /// rank loses besides the engine's shared state.
@@ -101,17 +119,29 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   };
   Saved saved;
   auto intersect = [&] {
-    engine.triangles() +=
-        intersect_blocks(blocks.tasks, blocks.ublock, blocks.lblock, config,
-                         engine.scratch(), engine.kernel());
+    if (sink == nullptr) {
+      engine.triangles() +=
+          intersect_blocks(blocks.tasks, blocks.ublock, blocks.lblock, config,
+                           engine.scratch(), engine.kernel());
+      return;
+    }
+    // Block (x, y) holds rows ≡ x and columns ≡ y (mod q); the closing
+    // column t lies in column block z.
+    engine.triangles() += intersect_tasks(
+        blocks.tasks, blocks.ublock, blocks.lblock, config, engine.scratch(),
+        engine.kernel(), [&](VertexId r, VertexId e, VertexId t) {
+          sink->triangle(r * qv + x, e * qv + y, t * qv + z);
+        });
   };
 
   for (int s = 0; s < q; ++s) {
+    z = (x + y + static_cast<VertexId>(s)) % qv;
     engine.begin(s, blocks.ublock.heap_bytes() + blocks.lblock.heap_bytes(),
                  blocks.tasks.heap_bytes());
     engine.checkpoint([&] {
       saved = {blocks.ublock.to_blob(), blocks.lblock.to_blob(),
                blocks.tasks.to_blob()};
+      if (sink != nullptr) sink->save();
     });
     // Overlap mode posts the next shift before intersecting: buffered
     // isends copy the blobs up front, so computing on the blocks while
@@ -138,6 +168,7 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
       blocks.ublock = BlockCsr::from_blob(saved.ublock);
       blocks.lblock = BlockCsr::from_blob(saved.lblock);
       blocks.tasks = BlockCsr::from_blob(saved.tasks);
+      if (sink != nullptr) sink->restore();
     });
     if (s + 1 < q) {
       // U one column left, L one row up (paper §5.1). Buffered sends keep

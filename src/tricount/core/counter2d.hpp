@@ -30,6 +30,27 @@ struct CountOutput {
   KernelCounters kernel;
 };
 
+/// Receives every triangle cannon_count closes, in global new
+/// (degree-ordered) ids: j is the task row's vertex, i the task entry's,
+/// k the closing vertex (under ⟨i,j,k⟩ the first two trade roles). The
+/// sink's tallies are superstep state: cannon_count saves them at each
+/// checkpoint and restores them before a crashed superstep replays.
+/// count_triangles_2d then calls finish() on every rank after the count.
+class TriangleSink {
+ public:
+  TriangleSink() = default;
+  TriangleSink(const TriangleSink&) = delete;
+  TriangleSink& operator=(const TriangleSink&) = delete;
+  virtual ~TriangleSink() = default;
+
+  virtual void triangle(VertexId j, VertexId i, VertexId k) = 0;
+  virtual void save() = 0;
+  virtual void restore() = 0;
+  /// Collective: reduces this rank's tallies, given its preprocessing
+  /// output (for the relabel map, see owned_old_ids).
+  virtual void finish(mpisim::Comm& comm, const PreprocessOutput& pre) = 0;
+};
+
 /// One compute step: intersects every task (r, e) in `tasks` against the
 /// currently-held U and L blocks. For the ⟨j,i,k⟩ scheme r is the
 /// higher-degree endpoint j (its U row gets hashed) and e is i (its L row
@@ -42,7 +63,8 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
                                KernelCounters& counters);
 
 /// Runs the full counting phase. Consumes (shifts away) the U/L blocks.
+/// A non-null `sink` receives every triangle found.
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
-                         const Config& config);
+                         const Config& config, TriangleSink* sink = nullptr);
 
 }  // namespace tricount::core

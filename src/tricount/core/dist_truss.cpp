@@ -1,188 +1,92 @@
 #include "tricount/core/dist_truss.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "tricount/core/dist_graph.hpp"
-#include "tricount/core/preprocess.hpp"
-#include "tricount/hashmap/hash_set.hpp"
-#include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::core {
 
 namespace {
 
-constexpr int kTagU = 121;
-constexpr int kTagL = 122;
-
 using graph::TriangleCount;
 
-std::uint64_t pack_edge(VertexId lo, VertexId hi) {
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+std::uint64_t edge_key(VertexId a, VertexId b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
 }
 
-BlockCsr blob_shift(mpisim::Comm& comm, BlockCsr block, int dest, int src,
-                    int tag) {
-  const std::vector<std::byte> blob = block.to_blob();
-  mpisim::Message m = comm.sendrecv_bytes(
-      dest, tag, std::span<const std::byte>(blob), src, tag);
-  return BlockCsr::from_blob(m.payload);
-}
+/// Credits the three edges of every triangle in new-id space.
+class EdgeCredits final : public TriangleSink {
+ public:
+  EdgeCredits(const graph::EdgeList& simplified,
+              std::vector<TriangleCount>& supports)
+      : simplified_(simplified), supports_(supports) {}
+
+  void triangle(VertexId j, VertexId i, VertexId k) override {
+    ++credits_[edge_key(j, i)];
+    ++credits_[edge_key(j, k)];
+    ++credits_[edge_key(i, k)];
+  }
+  void save() override { saved_ = credits_; }
+  void restore() override { credits_ = saved_; }
+
+  void finish(mpisim::Comm& comm, const PreprocessOutput& pre) override {
+    const auto p = static_cast<std::size_t>(comm.size());
+    const auto pv = static_cast<VertexId>(p);
+    const std::vector<VertexId> old_ids = owned_old_ids(comm, pre);
+
+    // (lo, hi, credit) to lo's owner, which swaps in lo's old id ...
+    std::vector<std::vector<std::uint64_t>> to_lo(p);
+    for (const auto& [key, credit] : credits_) {
+      to_lo[(key >> 32) % pv].insert(to_lo[(key >> 32) % pv].end(),
+                                     {key, credit});
+    }
+    std::vector<std::vector<std::uint64_t>> to_hi(p);
+    for (const auto& bucket : mpisim::alltoallv(comm, to_lo)) {
+      for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
+        const auto lo = static_cast<VertexId>(bucket[at] >> 32);
+        const auto hi = static_cast<VertexId>(bucket[at] & 0xffffffffu);
+        to_hi[hi % pv].insert(to_hi[hi % pv].end(),
+                              {old_ids[lo / pv], hi, bucket[at + 1]});
+      }
+    }
+    // ... then to hi's owner, which swaps in hi's and sums the credits.
+    for (const auto& bucket : mpisim::alltoallv(comm, to_hi)) {
+      for (std::size_t at = 0; at + 2 < bucket.size(); at += 3) {
+        const auto old_lo = static_cast<VertexId>(bucket[at]);
+        const VertexId old_hi = old_ids[bucket[at + 1] / pv];
+        const graph::Edge edge{std::min(old_lo, old_hi),
+                               std::max(old_lo, old_hi)};
+        const auto it = std::lower_bound(simplified_.edges.begin(),
+                                         simplified_.edges.end(), edge);
+        if (it == simplified_.edges.end() || !(*it == edge)) {
+          throw std::runtime_error("edge_supports_2d: credited unknown edge");
+        }
+        // Only hi's owner writes an edge's slot; thread-join publishes it.
+        supports_[static_cast<std::size_t>(it - simplified_.edges.begin())] +=
+            bucket[at + 2];
+      }
+    }
+  }
+
+ private:
+  const graph::EdgeList& simplified_;
+  std::vector<TriangleCount>& supports_;
+  std::unordered_map<std::uint64_t, TriangleCount> credits_;
+  std::unordered_map<std::uint64_t, TriangleCount> saved_;
+};
 
 }  // namespace
 
 std::vector<TriangleCount> edge_supports_2d(const graph::EdgeList& simplified,
                                             int ranks,
                                             const RunOptions& options) {
-  if (mpisim::perfect_square_root(ranks) == 0) {
-    throw std::invalid_argument(
-        "edge_supports_2d: rank count must be a perfect square");
-  }
   std::vector<TriangleCount> supports(simplified.edges.size(), 0);
-
-  mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
-    mpisim::Cart2D grid(comm);
-    const int p = comm.size();
-    const int q = grid.q();
-    const auto pv = static_cast<VertexId>(p);
-    const auto qv = static_cast<VertexId>(q);
-    const VertexId n = simplified.num_vertices;
-
-    const LocalSlice input = block_slice_from_edges(simplified, comm.rank(), p);
-    const CyclicSlice cyclic = cyclic_redistribute(comm, input);
-    const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
-    Blocks blocks = scatter_2d(grid, relabeled, options.config.enumeration);
-
-    // Reverse translation service: rank (w % p) learns the old id of new
-    // id w for every w it "owns" in cyclic new-id space.
-    std::vector<std::vector<VertexId>> rev_out(static_cast<std::size_t>(p));
-    for (std::size_t k = 0; k < relabeled.new_ids.size(); ++k) {
-      const VertexId w = relabeled.new_ids[k];
-      auto& bucket = rev_out[w % pv];
-      bucket.push_back(w);
-      bucket.push_back(cyclic.global_id(static_cast<VertexId>(k)));
-    }
-    const auto rev_in = mpisim::alltoallv(comm, rev_out);
-    std::vector<VertexId> old_of_new(cyclic_row_count(n, p, comm.rank()),
-                                     graph::kInvalidVertex);
-    for (const auto& bucket : rev_in) {
-      for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
-        old_of_new[bucket[at] / pv] = bucket[at + 1];
-      }
-    }
-
-    // --- triangle enumeration with per-edge credits ----------------------
-    std::unordered_map<std::uint64_t, TriangleCount> credit;
-    hashmap::VertexHashSet scratch;
-    for (int s = 0; s < q; ++s) {
-      const int z = (grid.row() + grid.col() + s) % q;
-      const auto zv = static_cast<VertexId>(z);
-      const auto xv = static_cast<VertexId>(grid.row());
-      const auto yv = static_cast<VertexId>(grid.col());
-      auto process_row = [&](VertexId r) {
-        const auto task_cols = blocks.tasks.row(r);
-        if (task_cols.empty()) return;
-        const auto urow = blocks.ublock.row(r);
-        if (urow.empty()) return;
-        scratch.build(urow, options.config.modified_hashing);
-        const VertexId umin = urow.front();
-        const VertexId a = r * qv + xv;  // task row vertex
-        for (const VertexId e : task_cols) {
-          if (e >= blocks.lblock.num_local_rows()) continue;
-          const auto lrow = blocks.lblock.row(e);
-          const VertexId b = e * qv + yv;  // task column vertex
-          for (std::size_t at = lrow.size(); at-- > 0;) {
-            const VertexId t = lrow[at];
-            if (t < umin) break;
-            if (!scratch.contains(t)) continue;
-            const VertexId k_global = t * qv + zv;
-            const VertexId lo = std::min(a, b);
-            const VertexId hi = std::max(a, b);
-            ++credit[pack_edge(lo, hi)];
-            ++credit[pack_edge(std::min(lo, k_global), std::max(lo, k_global))];
-            ++credit[pack_edge(std::min(hi, k_global), std::max(hi, k_global))];
-          }
-        }
-      };
-      for (const VertexId r : blocks.tasks.nonempty()) process_row(r);
-      if (s + 1 < q) {
-        blocks.ublock = blob_shift(comm, std::move(blocks.ublock),
-                                   grid.left(), grid.right(), kTagU);
-        blocks.lblock = blob_shift(comm, std::move(blocks.lblock), grid.up(),
-                                   grid.down(), kTagL);
-      }
-    }
-
-    // --- reduce credits to the owner of each edge's lower endpoint ------
-    std::vector<std::vector<VertexId>> credit_out(static_cast<std::size_t>(p));
-    for (const auto& [packed, count] : credit) {
-      const auto lo = static_cast<VertexId>(packed >> 32);
-      const auto hi = static_cast<VertexId>(packed & 0xffffffffu);
-      if (count > std::numeric_limits<VertexId>::max()) {
-        throw std::overflow_error("edge_supports_2d: credit overflow");
-      }
-      auto& bucket = credit_out[lo % pv];
-      bucket.push_back(lo);
-      bucket.push_back(hi);
-      bucket.push_back(static_cast<VertexId>(count));
-    }
-    const auto credit_in = mpisim::alltoallv(comm, credit_out);
-    std::unordered_map<std::uint64_t, TriangleCount> owned_support;
-    for (const auto& bucket : credit_in) {
-      for (std::size_t at = 0; at + 2 < bucket.size(); at += 3) {
-        owned_support[pack_edge(bucket[at], bucket[at + 1])] += bucket[at + 2];
-      }
-    }
-
-    // --- translate new-id edges back to original ids ---------------------
-    // lo's old id is local (we own the reverse map for lo % p == rank);
-    // hi's old id is requested from hi's owner.
-    std::vector<std::vector<VertexId>> ask(static_cast<std::size_t>(p));
-    for (const auto& [packed, count] : owned_support) {
-      const auto hi = static_cast<VertexId>(packed & 0xffffffffu);
-      ask[hi % pv].push_back(hi);
-    }
-    for (auto& a : ask) {
-      std::sort(a.begin(), a.end());
-      a.erase(std::unique(a.begin(), a.end()), a.end());
-    }
-    const auto asked = mpisim::alltoallv(comm, ask);
-    std::vector<std::vector<VertexId>> reply(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      for (const VertexId w : asked[static_cast<std::size_t>(r)]) {
-        reply[static_cast<std::size_t>(r)].push_back(old_of_new[w / pv]);
-      }
-    }
-    const auto replies = mpisim::alltoallv(comm, reply);
-    auto old_of = [&](VertexId w) {
-      const auto owner = static_cast<std::size_t>(w % pv);
-      const auto& req = ask[owner];
-      const auto it = std::lower_bound(req.begin(), req.end(), w);
-      return replies[owner][static_cast<std::size_t>(it - req.begin())];
-    };
-
-    for (const auto& [packed, count] : owned_support) {
-      const auto lo = static_cast<VertexId>(packed >> 32);
-      const auto hi = static_cast<VertexId>(packed & 0xffffffffu);
-      const VertexId old_lo = old_of_new[lo / pv];
-      const VertexId old_hi = old_of(hi);
-      const graph::Edge key{std::min(old_lo, old_hi),
-                            std::max(old_lo, old_hi)};
-      const auto it = std::lower_bound(simplified.edges.begin(),
-                                       simplified.edges.end(), key);
-      if (it == simplified.edges.end() || !(*it == key)) {
-        throw std::runtime_error("edge_supports_2d: credited unknown edge");
-      }
-      // Each original edge is owned by exactly one rank; disjoint writes.
-      supports[static_cast<std::size_t>(it - simplified.edges.begin())] =
-          count;
-    }
+  count_triangles_2d(simplified, ranks, options, [&] {
+    return std::make_unique<EdgeCredits>(simplified, supports);
   });
-
   return supports;
 }
 

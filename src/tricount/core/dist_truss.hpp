@@ -3,13 +3,14 @@
 //
 // Truss decomposition splits into (a) per-edge triangle-support counting
 // — the computation the paper's algorithm parallelizes — and (b) a cheap
-// support-peeling pass. This module distributes (a) exactly like the 2D
-// counter: every triangle closed during the Cannon shifts credits its
-// three edges; credits are reduced to per-edge owners in new-id space,
-// translated back to the caller's original ids, and aligned with the
-// simplified edge order. Peeling then reuses the serial bucket-queue
-// (graph/ktruss), so `ktruss_2d` returns a decomposition bit-identical to
-// the serial one.
+// support-peeling pass. This module runs (a) as count_triangles_2d with a
+// triangle sink: every closed triangle credits its three edges in new-id
+// space; each edge's credits travel to the owner of its lower new id,
+// which translates that endpoint back to its original id, then to the
+// owner of the higher one, which translates it and sums the credits at
+// the edge's position in the simplified edge order. Peeling then reuses
+// the serial bucket-queue (graph/ktruss), so `ktruss_2d` returns a
+// decomposition bit-identical to the serial one.
 #pragma once
 
 #include <vector>
@@ -20,8 +21,9 @@
 
 namespace tricount::core {
 
-/// Distributed per-edge triangle support. Result is aligned with the
-/// simplified input's edge order (as graph::edge_supports).
+/// Distributed per-edge triangle support, under every RunOptions field.
+/// Result is aligned with the simplified input's edge order (as
+/// graph::edge_supports).
 std::vector<graph::TriangleCount> edge_supports_2d(
     const graph::EdgeList& simplified, int ranks,
     const RunOptions& options = {});

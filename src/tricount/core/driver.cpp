@@ -1,6 +1,7 @@
 #include "tricount/core/driver.hpp"
 
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -18,7 +19,8 @@ namespace {
 using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;
 
 RunResult run_pipeline(int ranks, const RunOptions& options,
-                       const SliceFactory& make_slice) {
+                       const SliceFactory& make_slice,
+                       const SinkFactory& make_sink) {
   if (mpisim::perfect_square_root(ranks) == 0) {
     throw std::invalid_argument(
         "count_triangles_2d: rank count must be a perfect square");
@@ -38,8 +40,11 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
       pre.blocks.lblock.validate();
       pre.blocks.tasks.validate();
     }
+    const std::unique_ptr<TriangleSink> sink =
+        make_sink ? make_sink() : nullptr;
     CountOutput count = cannon_count(grid, std::move(pre.blocks),
-                                     options.config);
+                                     options.config, sink.get());
+    if (sink != nullptr) sink->finish(comm, pre);
     stats.pre_steps = std::move(pre.steps);
     stats.shifts = std::move(count.shifts);
     stats.kernel = count.kernel;
@@ -208,17 +213,22 @@ RunResult count_triangles(std::string_view algorithm,
 }
 
 RunResult count_triangles_2d(const graph::EdgeList& graph, int ranks,
-                             const RunOptions& options) {
-  return run_pipeline(ranks, options, [&](mpisim::Comm& comm) {
-    return block_slice_from_edges(graph, comm.rank(), comm.size());
-  });
+                             const RunOptions& options,
+                             const SinkFactory& make_sink) {
+  return run_pipeline(
+      ranks, options,
+      [&](mpisim::Comm& comm) {
+        return block_slice_from_edges(graph, comm.rank(), comm.size());
+      },
+      make_sink);
 }
 
 RunResult count_triangles_2d_rmat(const graph::RmatParams& params, int ranks,
                                   const RunOptions& options) {
-  return run_pipeline(ranks, options, [&](mpisim::Comm& comm) {
-    return block_slice_from_rmat(comm, params);
-  });
+  return run_pipeline(
+      ranks, options,
+      [&](mpisim::Comm& comm) { return block_slice_from_rmat(comm, params); },
+      {});
 }
 
 }  // namespace tricount::core

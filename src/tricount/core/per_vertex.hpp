@@ -2,16 +2,10 @@
 // 2D algorithm that the paper's motivating applications (clustering
 // coefficients, transitivity, k-truss support, community detection) need.
 //
-// The Cannon-pattern kernel is rerun with an accumulating variant: every
-// closed triangle (i, j, k) credits all three endpoints. Because the
-// kernel works in block-local coordinates, the rank's grid position
-// (x, y) and the current shift's column block z recover the global ids:
-//   row r    -> j = r*q + x,
-//   entry e  -> i = e*q + y,
-//   closer t -> k = t*q + z.
-// Per-rank accumulators are then reduced to the cyclic owners of the
-// *new* (degree-ordered) ids and finally translated back to the caller's
-// original vertex ids via the owners of the old ids.
+// It is count_triangles_2d with a triangle sink: every closed triangle
+// (j, i, k) credits all three endpoints in new-id space; the per-rank
+// credits are reduced to the cyclic owner of each new id, which writes
+// the count at the vertex's original id (owned_old_ids).
 #pragma once
 
 #include <vector>
@@ -28,14 +22,19 @@ struct PerVertexResult {
   /// counts[v] = triangles containing v, in the caller's original ids.
   /// Sums to 3 * total_triangles.
   std::vector<graph::TriangleCount> counts;
-  int ranks = 0;
+  /// The 2D run that produced the counts.
+  RunResult run;
 
   /// Local clustering coefficient of v given its degree.
   double local_clustering(graph::VertexId v, graph::EdgeIndex degree) const;
+
+  /// The min(k, |V|) vertices in most triangles: count descending, then
+  /// vertex id ascending.
+  std::vector<graph::VertexId> top(std::size_t k) const;
 };
 
 /// Distributed per-vertex triangle counting on a simulated world of
-/// `ranks` ranks (perfect square).
+/// `ranks` ranks (perfect square), under every RunOptions field.
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options = {});
 

@@ -234,7 +234,31 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
     PhaseSample s = tracker.cut();
     out.steps.emplace_back("edge_count", s);
   }
+  out.new_ids = std::move(relabeled.new_ids);
   return out;
+}
+
+std::vector<VertexId> owned_old_ids(mpisim::Comm& comm,
+                                    const PreprocessOutput& pre) {
+  const int p = comm.size();
+  const auto pv = static_cast<VertexId>(p);
+  std::vector<std::vector<VertexId>> out(static_cast<std::size_t>(p));
+  for (std::size_t k = 0; k < pre.new_ids.size(); ++k) {
+    const VertexId w = pre.new_ids[k];
+    auto& bucket = out[w % pv];
+    bucket.push_back(w);
+    bucket.push_back(static_cast<VertexId>(comm.rank()) +
+                     static_cast<VertexId>(k) * pv);
+  }
+  std::vector<VertexId> old_ids(
+      cyclic_row_count(pre.num_vertices, p, comm.rank()),
+      graph::kInvalidVertex);
+  for (const auto& bucket : mpisim::alltoallv(comm, out)) {
+    for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
+      old_ids[bucket[at] / pv] = bucket[at + 1];
+    }
+  }
+  return old_ids;
 }
 
 }  // namespace tricount::core

@@ -62,9 +62,18 @@ struct PreprocessOutput {
   Blocks blocks;
   VertexId num_vertices = 0;
   EdgeIndex num_edges = 0;  ///< global undirected edge count
+  /// The relabel map of this rank's cyclic slice: new_ids[k] is the new
+  /// (degree-ordered) id of old id rank + k*p (RelabeledSlice::new_ids).
+  std::vector<VertexId> new_ids;
   /// Per-superstep measurements on this rank, in pipeline order.
   std::vector<std::pair<std::string, PhaseSample>> steps;
 };
+
+/// The relabel map inverted onto the cyclic owners of the new ids:
+/// element k is the old id of new id rank + k*p. One alltoallv; every
+/// rank must call it.
+std::vector<VertexId> owned_old_ids(mpisim::Comm& comm,
+                                    const PreprocessOutput& pre);
 
 /// Runs the full pipeline on this rank's input slice.
 PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,

@@ -1,6 +1,5 @@
 #include "tricount/kernels/intersect.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace tricount::kernels {
@@ -16,136 +15,6 @@ void RowBitmap::build(std::span<const VertexId> row) {
     if (words_[word] == 0) touched_.push_back(word);
     words_[word] |= std::uint64_t{1} << (v & 63);
   }
-}
-
-TriangleCount merge_intersect(std::span<const VertexId> a,
-                              std::span<const VertexId> b,
-                              KernelCounters& counters) {
-  ++counters.merge_calls;
-  TriangleCount hits = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++counters.lookups;
-    ++counters.merge_steps;
-    if (a[i] == b[j]) {
-      ++hits;
-      ++counters.hits;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return hits;
-}
-
-namespace {
-
-/// First index >= `from` with haystack[index] >= x (haystack.size() when
-/// none): a doubling jump from `from` brackets x, then binary search.
-std::size_t gallop_lower_bound(std::span<const VertexId> haystack,
-                               std::size_t from, VertexId x,
-                               KernelCounters& counters) {
-  const std::size_t n = haystack.size();
-  if (from >= n || haystack[from] >= x) return from;
-  std::size_t prev = from;  // last index known to hold a value < x
-  std::size_t step = 1;
-  std::size_t cur = from + step;
-  while (cur < n && haystack[cur] < x) {
-    ++counters.galloping_steps;
-    prev = cur;
-    step <<= 1;
-    cur = from + step;
-  }
-  std::size_t lo = prev + 1;
-  std::size_t hi = std::min(cur, n);
-  while (lo < hi) {
-    ++counters.galloping_steps;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (haystack[mid] < x) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
-
-TriangleCount galloping_intersect(std::span<const VertexId> needles,
-                                  std::span<const VertexId> haystack,
-                                  KernelCounters& counters) {
-  ++counters.galloping_calls;
-  TriangleCount hits = 0;
-  std::size_t at = 0;
-  for (const VertexId x : needles) {
-    ++counters.lookups;
-    at = gallop_lower_bound(haystack, at, x, counters);
-    if (at == haystack.size()) break;
-    if (haystack[at] == x) {
-      ++hits;
-      ++counters.hits;
-      ++at;
-    }
-  }
-  return hits;
-}
-
-TriangleCount bitmap_intersect(const RowBitmap& bitmap,
-                               std::span<const VertexId> probe,
-                               KernelCounters& counters) {
-  ++counters.bitmap_calls;
-  TriangleCount hits = 0;
-  for (const VertexId v : probe) {
-    if (v >= bitmap.universe()) break;  // probe ascending: the rest miss too
-    ++counters.lookups;
-    ++counters.bitmap_tests;
-    if (bitmap.test(v)) {
-      ++hits;
-      ++counters.hits;
-    }
-  }
-  return hits;
-}
-
-TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
-                             std::span<const VertexId> probe,
-                             VertexId hashed_min, bool backward_early_exit,
-                             KernelCounters& counters) {
-  ++counters.hash_calls;
-  TriangleCount hits = 0;
-  if (backward_early_exit) {
-    // §5.2: the probe list is ascending and the hash holds nothing below
-    // hashed_min, so walk from the largest id and stop at the first id
-    // below it — every further lookup would miss.
-    for (std::size_t at = probe.size(); at-- > 0;) {
-      const VertexId k = probe[at];
-      if (k < hashed_min) {
-        ++counters.early_exits;
-        break;
-      }
-      ++counters.lookups;
-      ++counters.hash_lookups;
-      if (set.contains(k)) {
-        ++counters.hits;
-        ++hits;
-      }
-    }
-  } else {
-    for (const VertexId k : probe) {
-      ++counters.lookups;
-      ++counters.hash_lookups;
-      if (set.contains(k)) {
-        ++counters.hits;
-        ++hits;
-      }
-    }
-  }
-  return hits;
 }
 
 void IntersectScratch::begin_row(std::span<const VertexId> row,
@@ -194,27 +63,6 @@ const RowBitmap& IntersectScratch::bitmap(KernelCounters& counters) {
   }
   assert(bitmap_row_data_ == row_.data() && bitmap_row_size_ == row_.size());
   return bitmap_;
-}
-
-TriangleCount IntersectScratch::task(KernelPolicy policy,
-                                     std::span<const VertexId> probe,
-                                     bool backward_early_exit,
-                                     KernelCounters& counters) {
-  if (row_.empty() || probe.empty()) return 0;
-  switch (choose_kernel(policy, row_.size(), probe.size(), row_density_)) {
-    case KernelKind::kMerge:
-      return merge_intersect(row_, probe, counters);
-    case KernelKind::kGalloping:
-      return row_.size() <= probe.size()
-                 ? galloping_intersect(row_, probe, counters)
-                 : galloping_intersect(probe, row_, counters);
-    case KernelKind::kBitmap:
-      return bitmap_intersect(bitmap(counters), probe, counters);
-    case KernelKind::kHash:
-      return hash_intersect(hash(counters), probe, row_.front(),
-                            backward_early_exit, counters);
-  }
-  return 0;
 }
 
 }  // namespace tricount::kernels

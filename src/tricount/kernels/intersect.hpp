@@ -10,6 +10,7 @@
 // the row's tasks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,32 +48,157 @@ class RowBitmap {
   VertexId universe_ = 0;
 };
 
+/// Hit callback of the counting path: the kernels only count matches.
+/// Callers that need each match (per-vertex counts, edge supports) pass a
+/// callable taking the matched id instead; this no-op instantiation
+/// compiles to the plain counting loop.
+struct CountOnly {
+  void operator()(VertexId) const {}
+};
+
 /// Sorted-merge intersection counting matches between two ascending lists.
+/// Every kernel calls `on_hit(id)` once per match.
+template <class OnHit = CountOnly>
 TriangleCount merge_intersect(std::span<const VertexId> a,
                               std::span<const VertexId> b,
-                              KernelCounters& counters);
+                              KernelCounters& counters, OnHit on_hit = {}) {
+  ++counters.merge_calls;
+  TriangleCount hits = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    ++counters.lookups;
+    ++counters.merge_steps;
+    if (a[i] == b[j]) {
+      on_hit(a[i]);
+      ++hits;
+      ++counters.hits;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return hits;
+}
+
+/// First index >= `from` with haystack[index] >= x (haystack.size() when
+/// none): a doubling jump from `from` brackets x, then binary search.
+inline std::size_t gallop_lower_bound(std::span<const VertexId> haystack,
+                                      std::size_t from, VertexId x,
+                                      KernelCounters& counters) {
+  const std::size_t n = haystack.size();
+  if (from >= n || haystack[from] >= x) return from;
+  std::size_t prev = from;  // last index known to hold a value < x
+  std::size_t step = 1;
+  std::size_t cur = from + step;
+  while (cur < n && haystack[cur] < x) {
+    ++counters.galloping_steps;
+    prev = cur;
+    step <<= 1;
+    cur = from + step;
+  }
+  std::size_t lo = prev + 1;
+  std::size_t hi = std::min(cur, n);
+  while (lo < hi) {
+    ++counters.galloping_steps;
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (haystack[mid] < x) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
 /// Galloping (exponential + binary search) intersection: every needle is
 /// located in `haystack` with a doubling jump from the previous match
 /// position. Both lists ascending; pass the shorter list as `needles`.
+template <class OnHit = CountOnly>
 TriangleCount galloping_intersect(std::span<const VertexId> needles,
                                   std::span<const VertexId> haystack,
-                                  KernelCounters& counters);
+                                  KernelCounters& counters,
+                                  OnHit on_hit = {}) {
+  ++counters.galloping_calls;
+  TriangleCount hits = 0;
+  std::size_t at = 0;
+  for (const VertexId x : needles) {
+    ++counters.lookups;
+    at = gallop_lower_bound(haystack, at, x, counters);
+    if (at == haystack.size()) break;
+    if (haystack[at] == x) {
+      on_hit(x);
+      ++hits;
+      ++counters.hits;
+      ++at;
+    }
+  }
+  return hits;
+}
 
 /// Probes `probe` (ascending) against a built bitmap; stops at the first
 /// id past the bitmap's universe (everything later misses too).
+template <class OnHit = CountOnly>
 TriangleCount bitmap_intersect(const RowBitmap& bitmap,
                                std::span<const VertexId> probe,
-                               KernelCounters& counters);
+                               KernelCounters& counters, OnHit on_hit = {}) {
+  ++counters.bitmap_calls;
+  TriangleCount hits = 0;
+  for (const VertexId v : probe) {
+    if (v >= bitmap.universe()) break;  // probe ascending: the rest miss too
+    ++counters.lookups;
+    ++counters.bitmap_tests;
+    if (bitmap.test(v)) {
+      on_hit(v);
+      ++hits;
+      ++counters.hits;
+    }
+  }
+  return hits;
+}
 
 /// Probes `probe` against a built hash set. With `backward_early_exit`
 /// (§5.2) the probe list is walked from the largest id down and the loop
 /// breaks at the first id below `hashed_min` — every further lookup
 /// would miss.
+template <class OnHit = CountOnly>
 TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
                              std::span<const VertexId> probe,
                              VertexId hashed_min, bool backward_early_exit,
-                             KernelCounters& counters);
+                             KernelCounters& counters, OnHit on_hit = {}) {
+  ++counters.hash_calls;
+  TriangleCount hits = 0;
+  if (backward_early_exit) {
+    for (std::size_t at = probe.size(); at-- > 0;) {
+      const VertexId k = probe[at];
+      if (k < hashed_min) {
+        ++counters.early_exits;
+        break;
+      }
+      ++counters.lookups;
+      ++counters.hash_lookups;
+      if (set.contains(k)) {
+        on_hit(k);
+        ++counters.hits;
+        ++hits;
+      }
+    }
+  } else {
+    for (const VertexId k : probe) {
+      ++counters.lookups;
+      ++counters.hash_lookups;
+      if (set.contains(k)) {
+        on_hit(k);
+        ++counters.hits;
+        ++hits;
+      }
+    }
+  }
+  return hits;
+}
 
 /// Reusable per-rank scratch: the hash set and bitmap for the currently
 /// pinned hashed row, built lazily per row and cached across that row's
@@ -89,9 +215,28 @@ class IntersectScratch {
   void begin_row(std::span<const VertexId> row, bool allow_direct);
 
   /// Intersects the pinned row with `probe` using the kernel `policy`
-  /// selects for this pair. Returns the number of matches.
+  /// selects for this pair. Returns the number of matches and calls
+  /// `on_hit(id)` for each.
+  template <class OnHit = CountOnly>
   TriangleCount task(KernelPolicy policy, std::span<const VertexId> probe,
-                     bool backward_early_exit, KernelCounters& counters);
+                     bool backward_early_exit, KernelCounters& counters,
+                     OnHit on_hit = {}) {
+    if (row_.empty() || probe.empty()) return 0;
+    switch (choose_kernel(policy, row_.size(), probe.size(), row_density_)) {
+      case KernelKind::kMerge:
+        return merge_intersect(row_, probe, counters, on_hit);
+      case KernelKind::kGalloping:
+        return row_.size() <= probe.size()
+                   ? galloping_intersect(row_, probe, counters, on_hit)
+                   : galloping_intersect(probe, row_, counters, on_hit);
+      case KernelKind::kBitmap:
+        return bitmap_intersect(bitmap(counters), probe, counters, on_hit);
+      case KernelKind::kHash:
+        return hash_intersect(hash(counters), probe, row_.front(),
+                              backward_early_exit, counters, on_hit);
+    }
+    return 0;
+  }
 
   std::uint64_t probes() const { return hash_.probes(); }
   void reset_probes() { hash_.reset_probes(); }

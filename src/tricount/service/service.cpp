@@ -402,10 +402,7 @@ void Service::load_graph(graph::EdgeList graph, const std::string& name) {
   ensure_world();
   graph_ = graph::simplify(std::move(graph));
   graph_name_ = name;
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  partition_ = core::preprocess_resident(*world_, graph_, run_options);
+  partition_ = core::preprocess_resident(*world_, graph_, run_options());
   partition_dirty_ = false;
   stream_.reset();  // wholesale replacement; delta state restarts fresh
   sample_.reset();
@@ -417,6 +414,13 @@ void Service::load_graph(graph::EdgeList graph, const std::string& name) {
     counters_.graph_version = version;
   }
   refresh_gauges();
+}
+
+core::RunOptions Service::run_options() const {
+  core::RunOptions options;
+  options.config = options_.config;
+  options.model = options_.model;
+  return options;
 }
 
 void Service::ensure_world() {
@@ -434,10 +438,7 @@ void Service::ensure_stream() {
 
 void Service::ensure_partition() {
   if (!partition_dirty_) return;
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  partition_ = core::preprocess_resident(*world_, graph_, run_options);
+  partition_ = core::preprocess_resident(*world_, graph_, run_options());
   partition_dirty_ = false;
 }
 
@@ -486,11 +487,10 @@ Service::Execution Service::verb_count(const Request& request) {
     ensure_partition();  // stream mutations dirty the resident blocks
     run = core::count_resident(*world_, partition_, config);
   } else {
-    core::RunOptions run_options;
-    run_options.config = config;
-    run_options.model = options_.model;
+    core::RunOptions options = run_options();
+    options.config = config;
     try {
-      run = core::count_triangles(algo, graph_, options_.ranks, run_options);
+      run = core::count_triangles(algo, graph_, options_.ranks, options);
     } catch (const core::UnknownAlgorithm& e) {
       out.ok = false;
       out.error = ErrorCode::kBadParams;
@@ -524,11 +524,8 @@ Service::Execution Service::verb_pervertex(const Request& request) {
     return out;
   }
 
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  core::PerVertexResult per_vertex =
-      core::count_per_vertex_2d(graph_, options_.ranks, run_options);
+  const core::PerVertexResult per_vertex =
+      core::count_per_vertex_2d(graph_, options_.ranks, run_options());
 
   std::vector<graph::EdgeIndex> degree(graph_.num_vertices, 0);
   for (const auto& edge : graph_.edges) {
@@ -566,18 +563,7 @@ Service::Execution Service::verb_pervertex(const Request& request) {
       emit_vertex(static_cast<graph::VertexId>(v.as_uint()));
     }
   } else {
-    std::vector<graph::VertexId> order(
-        static_cast<std::size_t>(graph_.num_vertices));
-    std::iota(order.begin(), order.end(), graph::VertexId{0});
-    std::sort(order.begin(), order.end(),
-              [&](graph::VertexId a, graph::VertexId b) {
-                const auto ca = per_vertex.counts[static_cast<std::size_t>(a)];
-                const auto cb = per_vertex.counts[static_cast<std::size_t>(b)];
-                return ca != cb ? ca > cb : a < b;
-              });
-    const std::size_t take =
-        std::min<std::size_t>(top, order.size());
-    for (std::size_t i = 0; i < take; ++i) emit_vertex(order[i]);
+    for (const graph::VertexId v : per_vertex.top(top)) emit_vertex(v);
   }
 
   Value result = Value::object();
@@ -598,11 +584,8 @@ Service::Execution Service::verb_clustering(const Request&) {
     out.message = "no graph loaded";
     return out;
   }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
   const core::ClusteringStats stats =
-      core::clustering_stats_2d(graph_, options_.ranks, run_options);
+      core::clustering_stats_2d(graph_, options_.ranks, run_options());
   Value result = Value::object();
   result.set("triangles", static_cast<std::uint64_t>(stats.triangles));
   result.set("wedges", static_cast<std::uint64_t>(stats.wedges));
@@ -622,11 +605,8 @@ Service::Execution Service::verb_truss(const Request&) {
     out.message = "no graph loaded";
     return out;
   }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
   const graph::KtrussResult truss =
-      core::ktruss_2d(graph_, options_.ranks, run_options);
+      core::ktruss_2d(graph_, options_.ranks, run_options());
   Value per_k = Value::array();
   for (int k = 3; k <= truss.max_k; ++k) {
     std::uint64_t edges = 0;
@@ -662,11 +642,8 @@ Service::Execution Service::verb_support(const Request& request) {
     out.message = "'top' must be an integer in [0, 10000]";
     return out;
   }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
   const std::vector<graph::TriangleCount> supports =
-      core::edge_supports_2d(graph_, options_.ranks, run_options);
+      core::edge_supports_2d(graph_, options_.ranks, run_options());
 
   std::vector<std::size_t> order(supports.size());
   std::iota(order.begin(), order.end(), std::size_t{0});

@@ -153,6 +153,8 @@ class Service {
   Execution apply_batch(const stream::Batch& batch,
                         kernels::KernelPolicy kernel);
 
+  /// RunOptions from the service's config and model.
+  core::RunOptions run_options() const;
   void ensure_world();
   /// Lazily builds the maintained stream state from the resident graph.
   void ensure_stream();

@@ -1,10 +1,14 @@
 // Tests for the distributed analytics built on the triangle machinery:
 // distributed k-truss support counting, validated against its serial
-// reference.
+// reference on every graph family and grid size, under every Config
+// switch, and under chaos faults.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
+#include "test_corpus.hpp"
+#include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/dist_truss.hpp"
 #include "tricount/graph/generators.hpp"
 
@@ -63,6 +67,28 @@ TEST(DistTruss, EmptyAndTriangleFree) {
   const EdgeList grid = graph::simplify(graph::grid_graph(4, 4));
   for (const auto s : edge_supports_2d(grid, 4)) EXPECT_EQ(s, 0u);
   EXPECT_EQ(ktruss_2d(grid, 4).max_k, 2);
+}
+
+TEST(DistTruss, OptimizationTogglesStayExact) {
+  const EdgeList& g = truss_graphs()[0];
+  const auto expected = graph::edge_supports(g);
+  for (const auto& [label, config] : test_support::config_variants()) {
+    RunOptions options;
+    options.config = config;
+    EXPECT_EQ(edge_supports_2d(g, 9, options), expected) << label;
+  }
+}
+
+TEST(DistTruss, SupportsExactUnderCrashAndMessageFaults) {
+  const EdgeList& g = truss_graphs()[0];
+  chaos::FaultSpec spec;
+  spec.seed = 0x7e55;
+  spec.drop_rate = 0.05;
+  spec.duplicate_rate = 0.05;
+  spec.crash_superstep = 1;
+  RunOptions options;
+  options.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
+  EXPECT_EQ(edge_supports_2d(g, 4, options), graph::edge_supports(g));
 }
 
 TEST(DistTruss, NonSquareRanksThrow) {

@@ -1,10 +1,14 @@
 // Tests for distributed per-vertex triangle counting and the derived
 // clustering statistics: exact agreement with the serial per-vertex
-// reference on every graph family and grid size.
+// reference on every graph family and grid size, under every Config
+// switch, and through a crash replay.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
+#include "test_corpus.hpp"
+#include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/per_vertex.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
@@ -73,15 +77,28 @@ TEST(PerVertex, OptimizationTogglesStayExact) {
   const EdgeList& g = sweep_graphs()[4];
   const auto expected =
       graph::per_vertex_triangles(graph::Csr::from_edges(g));
-  for (const bool doubly : {true, false}) {
-    for (const bool backward : {true, false}) {
-      RunOptions options;
-      options.config.doubly_sparse = doubly;
-      options.config.backward_early_exit = backward;
-      const PerVertexResult result = count_per_vertex_2d(g, 9, options);
-      EXPECT_EQ(result.counts, expected);
-    }
+  for (const auto& [label, config] : test_support::config_variants()) {
+    RunOptions options;
+    options.config = config;
+    const PerVertexResult result = count_per_vertex_2d(g, 9, options);
+    EXPECT_EQ(result.counts, expected) << label;
   }
+}
+
+TEST(PerVertex, CrashAtSuperstepOneReplaysToTheFaultFreeCounts) {
+  // At 4 ranks the crash lands in the last of two supersteps, after
+  // superstep 0 has credited, so the replay must roll the sink back.
+  const EdgeList& g = sweep_graphs()[0];
+  const PerVertexResult fault_free = count_per_vertex_2d(g, 4);
+  chaos::FaultSpec spec;
+  spec.seed = 0x5eed;
+  spec.crash_superstep = 1;
+  RunOptions options;
+  options.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
+  const PerVertexResult crashed = count_per_vertex_2d(g, 4, options);
+  EXPECT_EQ(crashed.run.total_chaos().crashes, 1u);
+  EXPECT_EQ(crashed.counts, fault_free.counts);
+  EXPECT_EQ(crashed.total_triangles, fault_free.total_triangles);
 }
 
 TEST(PerVertex, WheelCountsExactPerVertex) {
@@ -121,6 +138,15 @@ TEST(ClusteringStats, CompleteGraphBounds) {
   const ClusteringStats stats = clustering_stats_2d(g, 4);
   EXPECT_DOUBLE_EQ(stats.transitivity, 1.0);
   EXPECT_DOUBLE_EQ(stats.average_local_clustering, 1.0);
+}
+
+TEST(PerVertex, TopRanksByCountThenVertexId) {
+  PerVertexResult result;
+  result.counts = {2, 5, 0, 5, 0, 2};
+  EXPECT_EQ(result.top(4), (std::vector<graph::VertexId>{1, 3, 0, 5}));
+  EXPECT_EQ(result.top(100),
+            (std::vector<graph::VertexId>{1, 3, 0, 5, 2, 4}));
+  EXPECT_TRUE(result.top(0).empty());
 }
 
 TEST(PerVertex, LocalClusteringHelper) {

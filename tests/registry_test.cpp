@@ -142,12 +142,15 @@ TEST(Registry, CliUnknownAlgoExitsOne) {
   std::filesystem::create_directories(dir);
   const auto graph_path = dir / "rmat_s7.mtx";
   graph::write_matrix_market(small_rmat(), graph_path.string());
-  const std::string command = std::string(cli) + " count --file " +
-                              graph_path.string() +
-                              " --algo nope --flight off >/dev/null 2>&1";
-  const int status = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(status)) << command;
-  EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+  for (const std::string args :
+       {"count --algo nope --flight off", "count --enumeration bogus --flight off",
+        "pervertex --top -3 --ranks 4"}) {
+    const std::string command = std::string(cli) + " " + args + " --file " +
+                                graph_path.string() + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+  }
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "test_seed.hpp"
+#include "tricount/core/config.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/kernels/kernels.hpp"
@@ -81,5 +83,41 @@ inline constexpr kernels::KernelPolicy kPolicies[] = {
     kernels::KernelPolicy::kAuto,      kernels::KernelPolicy::kMerge,
     kernels::KernelPolicy::kGalloping, kernels::KernelPolicy::kBitmap,
     kernels::KernelPolicy::kHash};
+
+/// The Config switches a 2D run honours, as labelled inputs: the §5.2
+/// doubly-sparse × backward-exit grid, every kernel policy, overlap on,
+/// blob comm off, the ⟨i,j,k⟩ enumeration, and degree ordering off.
+inline std::vector<std::pair<std::string, core::Config>> config_variants() {
+  std::vector<std::pair<std::string, core::Config>> variants;
+  for (const bool doubly : {true, false}) {
+    for (const bool backward : {true, false}) {
+      core::Config config;
+      config.doubly_sparse = doubly;
+      config.backward_early_exit = backward;
+      variants.emplace_back("doubly=" + std::to_string(doubly) +
+                                " backward=" + std::to_string(backward),
+                            config);
+    }
+  }
+  for (const kernels::KernelPolicy policy : kPolicies) {
+    core::Config config;
+    config.kernel = policy;
+    variants.emplace_back(
+        "kernel=" + std::string(kernels::to_string(policy)), config);
+  }
+  core::Config overlap;
+  overlap.overlap = true;
+  variants.emplace_back("overlap", overlap);
+  core::Config arrays;
+  arrays.blob_comm = false;
+  variants.emplace_back("blob_comm=0", arrays);
+  core::Config ijk;
+  ijk.enumeration = core::Enumeration::kIJK;
+  variants.emplace_back("ijk", ijk);
+  core::Config unordered;
+  unordered.degree_ordering = false;
+  variants.emplace_back("degree_ordering=0", unordered);
+  return variants;
+}
 
 }  // namespace tricount::test_support

@@ -280,9 +280,13 @@ int cmd_count(int argc, const char* const* argv) {
   const std::string algorithm = args.get("algo");
 
   core::Config config;
-  config.enumeration = args.get("enumeration") == "ijk"
-                           ? core::Enumeration::kIJK
-                           : core::Enumeration::kJIK;
+  const std::string enumeration = args.get("enumeration");
+  if (enumeration != "jik" && enumeration != "ijk") {
+    std::fprintf(stderr, "unknown --enumeration '%s'\n", enumeration.c_str());
+    return 1;
+  }
+  config.enumeration = enumeration == "ijk" ? core::Enumeration::kIJK
+                                            : core::Enumeration::kJIK;
   if (!kernels::parse_policy(args.get("kernel"), config.kernel)) {
     std::fprintf(stderr, "unknown --kernel '%s'\n", args.get("kernel").c_str());
     return 1;
@@ -381,6 +385,13 @@ int cmd_pervertex(int argc, const char* const* argv) {
   args.add_option("top", "10", "print the top-N triangle-dense vertices");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
+  const std::int64_t top = args.get_int("top");
+  if (top < 0) {
+    std::fprintf(stderr, "--top must be >= 0, got %lld\n",
+                 static_cast<long long>(top));
+    return 1;
+  }
+
   const graph::EdgeList g = graph::simplify(load(args.get("file")));
   const graph::Csr csr = graph::Csr::from_edges(g);
   const auto result = core::count_per_vertex_2d(
@@ -388,18 +399,8 @@ int cmd_pervertex(int argc, const char* const* argv) {
   std::printf("triangles: %llu\n",
               static_cast<unsigned long long>(result.total_triangles));
 
-  std::vector<graph::VertexId> order(result.counts.size());
-  for (graph::VertexId v = 0; v < order.size(); ++v) order[v] = v;
-  const auto top = std::min<std::size_t>(
-      static_cast<std::size_t>(args.get_int("top")), order.size());
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(top),
-                    order.end(), [&](graph::VertexId a, graph::VertexId b) {
-                      return result.counts[a] > result.counts[b];
-                    });
   util::Table table({"vertex", "triangles", "degree", "local clustering"});
-  for (std::size_t i = 0; i < top; ++i) {
-    const graph::VertexId v = order[i];
+  for (const graph::VertexId v : result.top(static_cast<std::size_t>(top))) {
     table.row()
         .cell(static_cast<std::uint64_t>(v))
         .cell(static_cast<std::uint64_t>(result.counts[v]))
