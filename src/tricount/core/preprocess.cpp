@@ -1,6 +1,8 @@
 #include "tricount/core/preprocess.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "tricount/mpisim/collectives.hpp"
@@ -52,15 +54,37 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   // (§5.3: "the position of the adjacent vertex is not locally available.
   // Thus, this requires us to perform a communication step with all
   // nodes.")
-  std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
+  //
+  // Neighbour u is row u / p of owner u % p. wanted[o] holds one bit per
+  // row of owner o, set when some local list names that row; before[o][w]
+  // counts the set bits in words [0, w). Reading the bits in ascending
+  // order yields each owner's request list sorted and unique, and the
+  // rank of u's bit is u's index in that list, so its answer is one
+  // indexed load away.
+  std::vector<std::vector<std::uint64_t>> wanted(static_cast<std::size_t>(p));
+  for (int o = 0; o < p; ++o) {
+    wanted[static_cast<std::size_t>(o)].assign(
+        (cyclic_row_count(slice.num_vertices, p, o) + 63) / 64, 0);
+  }
   for (const auto& list : slice.adj) {
     for (const VertexId u : list) {
-      requests[u % pv].push_back(u);
+      const VertexId row = u / pv;
+      wanted[u % pv][row / 64] |= std::uint64_t{1} << (row % 64);
     }
   }
-  for (auto& r : requests) {
-    std::sort(r.begin(), r.end());
-    r.erase(std::unique(r.begin(), r.end()), r.end());
+  std::vector<std::vector<VertexId>> before(static_cast<std::size_t>(p));
+  std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
+  for (std::size_t o = 0; o < wanted.size(); ++o) {
+    const auto& words = wanted[o];
+    before[o].reserve(words.size());
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      before[o].push_back(static_cast<VertexId>(requests[o].size()));
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        const auto row = static_cast<VertexId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        requests[o].push_back(static_cast<VertexId>(o) + row * pv);
+      }
+    }
   }
   const auto incoming_requests = mpisim::alltoallv(comm, requests);
   std::vector<std::vector<VertexId>> answers(static_cast<std::size_t>(p));
@@ -79,9 +103,11 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
 
   auto translate = [&](VertexId u) {
     const auto owner = static_cast<std::size_t>(u % pv);
-    const auto& req = requests[owner];
-    const auto it = std::lower_bound(req.begin(), req.end(), u);
-    return responses[owner][static_cast<std::size_t>(it - req.begin())];
+    const VertexId row = u / pv;
+    const std::uint64_t below =
+        wanted[owner][row / 64] & ((std::uint64_t{1} << (row % 64)) - 1);
+    return responses[owner][before[owner][row / 64] +
+                            static_cast<VertexId>(std::popcount(below))];
   };
 
   out.adj.resize(slice.adj.size());

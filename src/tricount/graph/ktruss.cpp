@@ -109,10 +109,8 @@ KtrussResult ktruss_from_supports(const EdgeList& simplified,
     const TriangleCount s = support[e];
     result.trussness[e] = static_cast<int>(s) + 2;
     result.max_k = std::max(result.max_k, result.trussness[e]);
-    // Keep the bucket structure consistent: everything below `at` is gone.
-    for (std::size_t b = 0; b <= s; ++b) {
-      bin_start[b] = std::max(bin_start[b], at + 1);
-    }
+    // Bins <= s are never read again: decrements below are floored at s,
+    // and the pop level never falls.
 
     const VertexId u = simplified.edges[e].u;
     const VertexId v = simplified.edges[e].v;

@@ -1,21 +1,90 @@
 // Tests for the preprocessing pipeline: block/cyclic distributions, the
-// distributed degree relabel (validity + monotonicity), and the 2D
-// scatter's structural invariants.
+// distributed degree relabel (validity, monotonicity, and a differential
+// against the sort-and-search relabel), and the 2D scatter's structural
+// invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <string>
 
+#include "test_corpus.hpp"
 #include "tricount/core/preprocess.hpp"
 #include "tricount/graph/degree_order.hpp"
 #include "tricount/graph/generators.hpp"
+#include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/util/prefix.hpp"
 
 namespace tricount::core {
 namespace {
 
 using graph::EdgeList;
+
+/// The straightforward §5.3 relabel, kept as the oracle for
+/// degree_relabel: per-owner request lists built by push, sort and
+/// unique, and one lower_bound into the owner's list per adjacency entry.
+/// Same collectives in the same order, so the same messages and bytes.
+RelabeledSlice sort_search_relabel(mpisim::Comm& comm,
+                                   const CyclicSlice& slice) {
+  const int p = slice.p;
+  const auto pv = static_cast<VertexId>(p);
+  EdgeIndex local_max = 0;
+  for (const auto& list : slice.adj) {
+    local_max = std::max(local_max, static_cast<EdgeIndex>(list.size()));
+  }
+  const EdgeIndex dmax = mpisim::allreduce_max(comm, local_max);
+  std::vector<std::uint64_t> histogram(static_cast<std::size_t>(dmax) + 1, 0);
+  for (const auto& list : slice.adj) ++histogram[list.size()];
+  std::vector<std::uint64_t> inclusive = histogram;
+  const std::vector<std::uint64_t> lower_counts = mpisim::scan_and_exscan(
+      comm, inclusive, std::plus<std::uint64_t>(), std::uint64_t{0});
+  std::vector<std::uint64_t> global = histogram;
+  mpisim::allreduce(comm, global, std::plus<std::uint64_t>());
+  util::exclusive_prefix_sum(global);
+
+  RelabeledSlice out;
+  out.num_vertices = slice.num_vertices;
+  out.rank = slice.rank;
+  out.p = p;
+  out.global_max_degree = dmax;
+  out.new_ids.resize(slice.adj.size());
+  std::vector<std::uint64_t> within(static_cast<std::size_t>(dmax) + 1, 0);
+  for (std::size_t k = 0; k < slice.adj.size(); ++k) {
+    const std::size_t d = slice.adj[k].size();
+    out.new_ids[k] =
+        static_cast<VertexId>(global[d] + lower_counts[d] + within[d]++);
+  }
+
+  std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
+  for (const auto& list : slice.adj) {
+    for (const VertexId u : list) requests[u % pv].push_back(u);
+  }
+  for (auto& r : requests) {
+    std::sort(r.begin(), r.end());
+    r.erase(std::unique(r.begin(), r.end()), r.end());
+  }
+  const auto incoming = mpisim::alltoallv(comm, requests);
+  std::vector<std::vector<VertexId>> answers(static_cast<std::size_t>(p));
+  for (std::size_t r = 0; r < answers.size(); ++r) {
+    for (const VertexId u : incoming[r]) {
+      answers[r].push_back(out.new_ids[u / pv]);
+    }
+  }
+  const auto responses = mpisim::alltoallv(comm, answers);
+  out.adj.resize(slice.adj.size());
+  for (std::size_t k = 0; k < slice.adj.size(); ++k) {
+    for (const VertexId u : slice.adj[k]) {
+      const auto& req = requests[u % pv];
+      const auto at = std::lower_bound(req.begin(), req.end(), u);
+      out.adj[k].push_back(
+          responses[u % pv][static_cast<std::size_t>(at - req.begin())]);
+    }
+  }
+  return out;
+}
 
 TEST(BlockRange, PartitionsExactly) {
   for (const VertexId n : {0u, 1u, 7u, 16u, 100u}) {
@@ -150,6 +219,56 @@ TEST(DegreeRelabel, AdjacencyRelabeledConsistently) {
   std::sort(expected.begin(), expected.end());
   std::sort(relabeled_edges.begin(), relabeled_edges.end());
   EXPECT_EQ(relabeled_edges, expected);
+}
+
+TEST(DegreeRelabel, MatchesSortSearchOracle) {
+  // Same new ids, relabeled lists and max degree as the sort-and-search
+  // relabel, from the same per-rank messages and bytes, on the shared
+  // corpus plus a graph smaller than most worlds and one with isolated
+  // vertices.
+  std::vector<std::pair<std::string, EdgeList>> graphs;
+  for (std::size_t i = 0; i < test_support::corpus().size(); ++i) {
+    graphs.emplace_back("corpus[" + std::to_string(i) + "]",
+                        test_support::corpus()[i].graph);
+  }
+  graphs.emplace_back("n<p", graph::simplify(graph::complete_graph(4)));
+  {
+    EdgeList sparse = graph::simplify(graph::erdos_renyi(60, 90, 5));
+    sparse.num_vertices = 400;  // vertices 60..399 have no edges
+    graphs.emplace_back("isolated", std::move(sparse));
+  }
+  for (const auto& [name, g] : graphs) {
+    for (const int p : {1, 2, 3, 4, 5, 7, 9}) {
+      SCOPED_TRACE(name + " p=" + std::to_string(p));
+      std::vector<CyclicSlice> cyclic(static_cast<std::size_t>(p));
+      mpisim::run_world(p, [&](mpisim::Comm& comm) {
+        const LocalSlice input = block_slice_from_edges(g, comm.rank(), p);
+        cyclic[static_cast<std::size_t>(comm.rank())] =
+            cyclic_redistribute(comm, input);
+      });
+      auto relabel_all = [&](auto relabel,
+                             std::vector<RelabeledSlice>& out) {
+        out.resize(static_cast<std::size_t>(p));
+        return mpisim::run_world(p, [&](mpisim::Comm& comm) {
+          const auto r = static_cast<std::size_t>(comm.rank());
+          out[r] = relabel(comm, cyclic[r]);
+        });
+      };
+      std::vector<RelabeledSlice> got;
+      std::vector<RelabeledSlice> want;
+      const auto got_counters = relabel_all(degree_relabel, got);
+      const auto want_counters = relabel_all(sort_search_relabel, want);
+      for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
+        EXPECT_EQ(got[r].new_ids, want[r].new_ids) << "rank " << r;
+        EXPECT_EQ(got[r].adj, want[r].adj) << "rank " << r;
+        EXPECT_EQ(got[r].global_max_degree, want[r].global_max_degree);
+        EXPECT_EQ(got_counters[r].messages_sent,
+                  want_counters[r].messages_sent) << "rank " << r;
+        EXPECT_EQ(got_counters[r].bytes_sent, want_counters[r].bytes_sent)
+            << "rank " << r;
+      }
+    }
+  }
 }
 
 TEST(Scatter2D, BlockEntryCountsAddUp) {

@@ -1,8 +1,14 @@
 // Tests for the k-truss decomposition: closed-form trussness on known
 // families, invariants (support sums, monotone subgraphs), and
-// cross-validation of supports against per-vertex triangle counts.
+// cross-validation of supports against per-vertex triangle counts, and a
+// differential of the bucket peel against brute-force repeated pruning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "test_corpus.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/ktruss.hpp"
 #include "tricount/graph/serial_count.hpp"
@@ -137,6 +143,46 @@ TEST(Ktruss, MaxTrussIsMaximal) {
   const EdgeList g = simplify(erdos_renyi(60, 400, 13));
   const KtrussResult result = ktruss_decomposition(g);
   EXPECT_TRUE(result.truss_edges(g, result.max_k + 1).empty());
+}
+
+/// Trussness by definition: the k-truss is what is left after repeatedly
+/// dropping every edge in fewer than k-2 triangles of the remaining
+/// graph, and an edge's trussness is the largest k whose truss keeps it.
+std::vector<int> brute_force_trussness(const EdgeList& g) {
+  std::vector<int> trussness(g.edges.size(), 2);
+  std::vector<std::size_t> alive(g.edges.size());
+  for (std::size_t e = 0; e < alive.size(); ++e) alive[e] = e;
+  for (int k = 3; !alive.empty(); ++k) {
+    for (bool pruned = true; pruned && !alive.empty();) {
+      EdgeList sub;
+      sub.num_vertices = g.num_vertices;
+      for (const std::size_t e : alive) sub.edges.push_back(g.edges[e]);
+      const auto support = edge_supports(sub);
+      std::vector<std::size_t> kept;
+      for (std::size_t i = 0; i < alive.size(); ++i) {
+        if (support[i] + 2 >= static_cast<TriangleCount>(k)) {
+          kept.push_back(alive[i]);
+        }
+      }
+      pruned = kept.size() < alive.size();
+      alive = std::move(kept);
+    }
+    for (const std::size_t e : alive) trussness[e] = k;
+  }
+  return trussness;
+}
+
+TEST(Ktruss, BucketPeelMatchesBruteForceOnCorpus) {
+  const auto& corpus = test_support::corpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const KtrussResult result = ktruss_decomposition(corpus[i].graph);
+    const std::vector<int> expected = brute_force_trussness(corpus[i].graph);
+    EXPECT_EQ(result.trussness, expected) << "graph " << i;
+    const int max_k = expected.empty()
+                          ? 0
+                          : *std::max_element(expected.begin(), expected.end());
+    EXPECT_EQ(result.max_k, max_k) << "graph " << i;
+  }
 }
 
 }  // namespace
