@@ -1,6 +1,7 @@
 #include "tricount/core/counter2d.hpp"
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "tricount/core/superstep.hpp"
@@ -196,6 +197,18 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   out.local_triangles = engine.triangles();
   out.kernel = engine.kernel();
   return out;
+}
+
+TriangleCount count_rank(mpisim::Cart2D& grid, Blocks blocks,
+                         const Config& config, const SinkFactory& make_sink,
+                         const std::function<std::vector<VertexId>()>& old_ids,
+                         RankStats& stats) {
+  const std::unique_ptr<TriangleSink> sink = make_sink ? make_sink() : nullptr;
+  CountOutput count = cannon_count(grid, std::move(blocks), config, sink.get());
+  if (sink != nullptr) sink->finish(grid.comm(), old_ids());
+  stats.shifts = std::move(count.shifts);
+  stats.kernel = count.kernel;
+  return count.total_triangles;
 }
 
 }  // namespace tricount::core

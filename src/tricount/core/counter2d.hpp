@@ -8,6 +8,10 @@
 // rank's task block; then U shifts one column left and L one row up.
 #pragma once
 
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "tricount/core/block_matrix.hpp"
 #include "tricount/core/config.hpp"
 #include "tricount/core/instrumentation.hpp"
@@ -35,7 +39,7 @@ struct CountOutput {
 /// k the closing vertex (under ⟨i,j,k⟩ the first two trade roles). The
 /// sink's tallies are superstep state: cannon_count saves them at each
 /// checkpoint and restores them before a crashed superstep replays.
-/// count_triangles_2d then calls finish() on every rank after the count.
+/// count_rank then calls finish() on every rank after the count.
 class TriangleSink {
  public:
   TriangleSink() = default;
@@ -46,10 +50,15 @@ class TriangleSink {
   virtual void triangle(VertexId j, VertexId i, VertexId k) = 0;
   virtual void save() = 0;
   virtual void restore() = 0;
-  /// Collective: reduces this rank's tallies, given its preprocessing
-  /// output (for the relabel map, see owned_old_ids).
-  virtual void finish(mpisim::Comm& comm, const PreprocessOutput& pre) = 0;
+  /// Collective: reduces this rank's tallies, given the old (input) ids
+  /// of the new ids this rank owns: old_ids[k] is the old id of new id
+  /// rank + k*p (owned_old_ids).
+  virtual void finish(mpisim::Comm& comm,
+                      const std::vector<VertexId>& old_ids) = 0;
 };
+
+/// Builds one rank's triangle sink.
+using SinkFactory = std::function<std::unique_ptr<TriangleSink>()>;
 
 /// One compute step: intersects every task (r, e) in `tasks` against the
 /// currently-held U and L blocks. For the ⟨j,i,k⟩ scheme r is the
@@ -66,5 +75,14 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
 /// A non-null `sink` receives every triangle found.
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
                          const Config& config, TriangleSink* sink = nullptr);
+
+/// The per-rank counting body of every 2D run, fresh or resident: with
+/// `make_sink`, builds this rank's sink, runs cannon_count into it, then
+/// calls its finish() on `old_ids()` (called only then, after the count);
+/// fills the rank's shift and kernel stats and returns the global count.
+TriangleCount count_rank(mpisim::Cart2D& grid, Blocks blocks,
+                         const Config& config, const SinkFactory& make_sink,
+                         const std::function<std::vector<VertexId>()>& old_ids,
+                         RankStats& stats);
 
 }  // namespace tricount::core

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "tricount/mpisim/collectives.hpp"
 
@@ -32,10 +33,10 @@ class EdgeCredits final : public TriangleSink {
   void save() override { saved_ = credits_; }
   void restore() override { credits_ = saved_; }
 
-  void finish(mpisim::Comm& comm, const PreprocessOutput& pre) override {
+  void finish(mpisim::Comm& comm,
+              const std::vector<VertexId>& old_ids) override {
     const auto p = static_cast<std::size_t>(comm.size());
     const auto pv = static_cast<VertexId>(p);
-    const std::vector<VertexId> old_ids = owned_old_ids(comm, pre);
 
     // (lo, hi, credit) to lo's owner, which swaps in lo's old id ...
     std::vector<std::vector<std::uint64_t>> to_lo(p);
@@ -87,6 +88,18 @@ std::vector<TriangleCount> edge_supports_2d(const graph::EdgeList& simplified,
   count_triangles_2d(simplified, ranks, options, [&] {
     return std::make_unique<EdgeCredits>(simplified, supports);
   });
+  return supports;
+}
+
+std::vector<TriangleCount> edge_supports_2d(mpisim::PersistentWorld& world,
+                                            const ResidentPartition& partition,
+                                            const graph::EdgeList& simplified,
+                                            RunResult* run) {
+  std::vector<TriangleCount> supports(simplified.edges.size(), 0);
+  RunResult result = count_resident(world, partition, partition.config, [&] {
+    return std::make_unique<EdgeCredits>(simplified, supports);
+  });
+  if (run != nullptr) *run = std::move(result);
   return supports;
 }
 

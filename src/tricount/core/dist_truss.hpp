@@ -3,12 +3,12 @@
 //
 // Truss decomposition splits into (a) per-edge triangle-support counting
 // — the computation the paper's algorithm parallelizes — and (b) a cheap
-// support-peeling pass. This module runs (a) as count_triangles_2d with a
-// triangle sink: every closed triangle credits its three edges in new-id
-// space; each edge's credits travel to the owner of its lower new id,
-// which translates that endpoint back to its original id, then to the
-// owner of the higher one, which translates it and sums the credits at
-// the edge's position in the simplified edge order. Peeling then reuses
+// support-peeling pass. This module runs (a) as count_triangles_2d (or
+// count_resident) with a triangle sink: every closed triangle credits its
+// three edges in new-id space; each edge's credits travel to the owner of
+// its lower new id, which translates that endpoint back to its original
+// id, then to the owner of the higher one, which translates it and sums
+// the credits at the edge's position in the simplified edge order. Peeling then reuses
 // the serial bucket-queue (graph/ktruss), so `ktruss_2d` returns a
 // decomposition bit-identical to the serial one.
 #pragma once
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "tricount/core/driver.hpp"
+#include "tricount/core/resident.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/graph/ktruss.hpp"
 
@@ -27,6 +28,13 @@ namespace tricount::core {
 std::vector<graph::TriangleCount> edge_supports_2d(
     const graph::EdgeList& simplified, int ranks,
     const RunOptions& options = {});
+
+/// The same supports on a resident partition (resident.hpp) built from
+/// `simplified`: only the counting supersteps run, under the partition's
+/// config. When `run` is set, it receives the 2D run that counted.
+std::vector<graph::TriangleCount> edge_supports_2d(
+    mpisim::PersistentWorld& world, const ResidentPartition& partition,
+    const graph::EdgeList& simplified, RunResult* run = nullptr);
 
 /// Full truss decomposition with distributed support counting.
 graph::KtrussResult ktruss_2d(const graph::EdgeList& simplified, int ranks,

@@ -1,7 +1,6 @@
 #include "tricount/core/driver.hpp"
 
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -35,21 +34,13 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
     mpisim::Cart2D grid(comm);
     const LocalSlice input = make_slice(comm);
     PreprocessOutput pre = preprocess(grid, input, options.config);
-    if (options.validate_blocks) {
-      pre.blocks.ublock.validate();
-      pre.blocks.lblock.validate();
-      pre.blocks.tasks.validate();
-    }
-    const std::unique_ptr<TriangleSink> sink =
-        make_sink ? make_sink() : nullptr;
-    CountOutput count = cannon_count(grid, std::move(pre.blocks),
-                                     options.config, sink.get());
-    if (sink != nullptr) sink->finish(comm, pre);
+    if (options.validate_blocks) pre.blocks.validate();
     stats.pre_steps = std::move(pre.steps);
-    stats.shifts = std::move(count.shifts);
-    stats.kernel = count.kernel;
+    const TriangleCount triangles =
+        count_rank(grid, std::move(pre.blocks), options.config, make_sink,
+                   [&] { return owned_old_ids(comm, pre); }, stats);
     if (comm.rank() == 0) {
-      out.triangles = count.total_triangles;
+      out.triangles = triangles;
       out.num_vertices = pre.num_vertices;
       out.num_edges = pre.num_edges;
     }

@@ -10,7 +10,6 @@
 //   std::cout << result.total_modeled_seconds() << "\n";
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -136,14 +135,11 @@ RunResult count_triangles(std::string_view algorithm,
                           const graph::EdgeList& graph, int ranks,
                           const RunOptions& options = {});
 
-/// Builds one rank's triangle sink (counter2d.hpp).
-using SinkFactory = std::function<std::unique_ptr<TriangleSink>()>;
-
 /// Counts triangles of a replicated, simplified edge list on a simulated
 /// world of `ranks` ranks (must be a perfect square). With `make_sink`,
-/// every rank builds a sink, cannon_count feeds it the triangles the rank
-/// closes, and the rank calls its finish() after the count; per-vertex
-/// counts and edge supports are such sinks.
+/// every rank builds a sink (counter2d.hpp), cannon_count feeds it the
+/// triangles the rank closes, and the rank calls its finish() after the
+/// count; per-vertex counts and edge supports are such sinks.
 RunResult count_triangles_2d(const graph::EdgeList& graph, int ranks,
                              const RunOptions& options = {},
                              const SinkFactory& make_sink = {});

@@ -26,7 +26,8 @@ class VertexCredits final : public TriangleSink {
   void save() override { saved_ = credits_; }
   void restore() override { credits_ = saved_; }
 
-  void finish(mpisim::Comm& comm, const PreprocessOutput& pre) override {
+  void finish(mpisim::Comm& comm,
+              const std::vector<VertexId>& old_ids) override {
     const auto pv = static_cast<VertexId>(comm.size());
     std::vector<std::vector<TriangleCount>> out(
         static_cast<std::size_t>(comm.size()));
@@ -36,7 +37,6 @@ class VertexCredits final : public TriangleSink {
       out[v % pv].push_back(credits_[v]);
     }
     const auto in = mpisim::alltoallv(comm, out);
-    const std::vector<VertexId> old_ids = owned_old_ids(comm, pre);
     std::vector<TriangleCount> owned(old_ids.size(), 0);
     for (const auto& bucket : in) {
       for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
@@ -54,6 +54,17 @@ class VertexCredits final : public TriangleSink {
   std::vector<TriangleCount> credits_;
   std::vector<TriangleCount> saved_;
 };
+
+/// Runs `count` with a VertexCredits sink over `num_vertices` counts.
+template <typename Count>
+PerVertexResult credit_vertices(VertexId num_vertices, const Count& count) {
+  PerVertexResult result;
+  result.counts.assign(num_vertices, 0);
+  result.run = count(
+      [&] { return std::make_unique<VertexCredits>(result.counts); });
+  result.total_triangles = result.run.triangles;
+  return result;
+}
 
 }  // namespace
 
@@ -80,19 +91,20 @@ std::vector<graph::VertexId> PerVertexResult::top(std::size_t k) const {
 
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options) {
-  PerVertexResult result;
-  result.counts.assign(graph.num_vertices, 0);
-  result.run = count_triangles_2d(graph, ranks, options, [&] {
-    return std::make_unique<VertexCredits>(result.counts);
+  return credit_vertices(graph.num_vertices, [&](const SinkFactory& sink) {
+    return count_triangles_2d(graph, ranks, options, sink);
   });
-  result.total_triangles = result.run.triangles;
-  return result;
 }
 
-ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
-                                    const RunOptions& options) {
-  const PerVertexResult per_vertex =
-      count_per_vertex_2d(graph, ranks, options);
+PerVertexResult count_per_vertex_2d(mpisim::PersistentWorld& world,
+                                    const ResidentPartition& partition) {
+  return credit_vertices(partition.num_vertices, [&](const SinkFactory& sink) {
+    return count_resident(world, partition, partition.config, sink);
+  });
+}
+
+ClusteringStats clustering_stats(const graph::EdgeList& graph,
+                                 const PerVertexResult& per_vertex) {
   const std::vector<graph::EdgeIndex> degrees = graph::degrees(graph);
 
   ClusteringStats stats;
@@ -114,6 +126,11 @@ ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
         clustering_sum / static_cast<double>(graph.num_vertices);
   }
   return stats;
+}
+
+ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
+                                    const RunOptions& options) {
+  return clustering_stats(graph, count_per_vertex_2d(graph, ranks, options));
 }
 
 }  // namespace tricount::core

@@ -2,16 +2,17 @@
 // 2D algorithm that the paper's motivating applications (clustering
 // coefficients, transitivity, k-truss support, community detection) need.
 //
-// It is count_triangles_2d with a triangle sink: every closed triangle
-// (j, i, k) credits all three endpoints in new-id space; the per-rank
-// credits are reduced to the cyclic owner of each new id, which writes
-// the count at the vertex's original id (owned_old_ids).
+// It is count_triangles_2d (or count_resident) with a triangle sink:
+// every closed triangle (j, i, k) credits all three endpoints in new-id
+// space; the per-rank credits are reduced to the cyclic owner of each new
+// id, which writes the count at the vertex's original id (owned_old_ids).
 #pragma once
 
 #include <vector>
 
 #include "tricount/core/config.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/resident.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/graph/types.hpp"
 
@@ -38,6 +39,11 @@ struct PerVertexResult {
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options = {});
 
+/// The same counts on a resident partition (resident.hpp): only the
+/// counting supersteps run, under the partition's config.
+PerVertexResult count_per_vertex_2d(mpisim::PersistentWorld& world,
+                                    const ResidentPartition& partition);
+
 /// Network-level clustering statistics computed distributedly: global
 /// triangle count, wedge count, transitivity, and the average local
 /// clustering coefficient.
@@ -48,6 +54,11 @@ struct ClusteringStats {
   double average_local_clustering = 0.0;
 };
 
+/// The statistics of `graph` from its per-vertex counts.
+ClusteringStats clustering_stats(const graph::EdgeList& graph,
+                                 const PerVertexResult& per_vertex);
+
+/// clustering_stats over count_per_vertex_2d(graph, ranks, options).
 ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options = {});
 

@@ -56,6 +56,14 @@ struct Blocks {
   BlockCsr ublock;
   BlockCsr lblock;
   BlockCsr tasks;
+
+  /// Checks all three blocks' structural invariants (RunOptions::
+  /// validate_blocks).
+  void validate() const {
+    ublock.validate();
+    lblock.validate();
+    tasks.validate();
+  }
 };
 
 /// Steps (iii)+(iv): scatter entries per the 2D cyclic map and build the

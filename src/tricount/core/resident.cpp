@@ -4,19 +4,10 @@
 #include <utility>
 
 #include "tricount/core/dist_graph.hpp"
+#include "tricount/core/superstep.hpp"
 #include "tricount/mpisim/cart2d.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
-
-namespace {
-
-obs::RankTelemetry* live_slot() {
-  obs::Telemetry* telemetry = obs::Telemetry::current();
-  return telemetry != nullptr ? telemetry->for_caller() : nullptr;
-}
-
-}  // namespace
 
 std::uint64_t ResidentPartition::resident_bytes() const {
   std::uint64_t total = 0;
@@ -41,46 +32,37 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
   partition.config = options.config;
   partition.model = options.model;
   partition.blocks.resize(static_cast<std::size_t>(ranks));
-  partition.pre_stats.assign(static_cast<std::size_t>(ranks), RankStats{});
+  partition.old_ids.resize(static_cast<std::size_t>(ranks));
 
-  world.run_job([&](mpisim::Comm& comm) {
-    mpisim::Cart2D grid(comm);
-    obs::RankTelemetry* live = live_slot();
-    if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
-
-    const LocalSlice input =
-        block_slice_from_edges(graph, comm.rank(), comm.size());
-    PreprocessOutput pre = preprocess(grid, input, options.config);
-    if (options.validate_blocks) {
-      pre.blocks.ublock.validate();
-      pre.blocks.lblock.validate();
-      pre.blocks.tasks.validate();
-    }
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    partition.blocks[rank] = std::move(pre.blocks);
-    partition.pre_stats[rank].pre_steps = std::move(pre.steps);
-    if (comm.rank() == 0) {
-      partition.num_vertices = pre.num_vertices;
-      partition.num_edges = pre.num_edges;
-    }
-    if (live != nullptr) {
-      const Blocks& b = partition.blocks[rank];
-      live->partition_bytes.store(b.ublock.heap_bytes() +
-                                      b.lblock.heap_bytes() +
-                                      b.tasks.heap_bytes(),
-                                  std::memory_order_relaxed);
-      live->phase.store("resident", std::memory_order_relaxed);
-    }
-  });
-
-  for (const auto& [name, sample] : partition.pre_stats[0].pre_steps) {
-    partition.step_names.push_back(name);
-  }
+  RunResult result;
+  result.ranks = ranks;
+  result = run_counter(
+      std::move(result), options,
+      [&](mpisim::Comm& comm, RankStats& stats, RunResult& out) {
+        mpisim::Cart2D grid(comm);
+        PreprocessOutput pre = preprocess(
+            grid, block_slice_from_edges(graph, comm.rank(), comm.size()),
+            options.config);
+        if (options.validate_blocks) pre.blocks.validate();
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        partition.old_ids[rank] = owned_old_ids(comm, pre);
+        partition.blocks[rank] = std::move(pre.blocks);
+        stats.pre_steps = std::move(pre.steps);
+        if (comm.rank() == 0) {
+          out.num_vertices = pre.num_vertices;
+          out.num_edges = pre.num_edges;
+        }
+      },
+      &world);
+  partition.num_vertices = result.num_vertices;
+  partition.num_edges = result.num_edges;
+  partition.pre_stats = std::move(result.per_rank);
   return partition;
 }
 
 RunResult count_resident(mpisim::PersistentWorld& world,
-                         const ResidentPartition& partition, Config config) {
+                         const ResidentPartition& partition, Config config,
+                         const SinkFactory& make_sink) {
   if (world.size() != partition.ranks) {
     throw std::invalid_argument(
         "count_resident: world size does not match the resident partition");
@@ -88,41 +70,37 @@ RunResult count_resident(mpisim::PersistentWorld& world,
   if (partition.blocks.empty()) {
     throw std::invalid_argument("count_resident: empty partition");
   }
+  if (make_sink && partition.old_ids.size() != partition.blocks.size()) {
+    throw std::invalid_argument(
+        "count_resident: a sink needs the partition's old_ids (build it "
+        "with preprocess_resident)");
+  }
   // The task matrix encodes the enumeration scheme it was built for;
   // counting must interpret it the same way.
   config.enumeration = partition.config.enumeration;
+  RunOptions options;
+  options.config = config;
+  options.model = partition.model;
 
   RunResult result;
   result.ranks = partition.ranks;
   result.grid_q = partition.grid_q;
   result.num_vertices = partition.num_vertices;
   result.num_edges = partition.num_edges;
-  result.model = partition.model;
   result.overlap_enabled = config.overlap;
-  result.per_rank.assign(static_cast<std::size_t>(partition.ranks),
-                         RankStats{});
-
-  mpisim::WorldReport report = world.run_job([&](mpisim::Comm& comm) {
-    mpisim::Cart2D grid(comm);
-    obs::RankTelemetry* live = live_slot();
-    // Copy: cannon_count shifts the blocks away; the resident set must
-    // survive for the next query.
-    Blocks blocks = partition.blocks[static_cast<std::size_t>(comm.rank())];
-    CountOutput count = cannon_count(grid, std::move(blocks), config);
-
-    RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
-    stats.shifts = std::move(count.shifts);
-    stats.kernel = count.kernel;
-    if (comm.rank() == 0) result.triangles = count.total_triangles;
-    if (live != nullptr) {
-      live->phase.store("resident", std::memory_order_relaxed);
-    }
-  });
-
-  result.per_rank_counters = std::move(report.counters);
-  result.comm_matrix = std::move(report.comm_matrix);
-  result.per_rank_chaos = std::move(report.chaos);
-  return result;
+  return run_counter(
+      std::move(result), options,
+      [&](mpisim::Comm& comm, RankStats& stats, RunResult& out) {
+        mpisim::Cart2D grid(comm);
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        // Copy: cannon_count shifts the blocks away; the resident set
+        // must survive for the next query.
+        const TriangleCount triangles = count_rank(
+            grid, partition.blocks[rank], config, make_sink,
+            [&] { return partition.old_ids[rank]; }, stats);
+        if (comm.rank() == 0) out.triangles = triangles;
+      },
+      &world);
 }
 
 }  // namespace tricount::core

@@ -8,10 +8,10 @@
 // ResidentPartition, then answer each query with count_resident — only
 // the √p counting supersteps, on blocks copied from the resident set
 // (cannon_count shifts its blocks away, so the originals stay intact for
-// the next query).
+// the next query). A sink run (per-vertex counts, edge supports) counts
+// the same way, with each rank's owned old ids kept from preprocessing.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "tricount/core/driver.hpp"
@@ -39,8 +39,11 @@ struct ResidentPartition {
   std::vector<Blocks> blocks;
   /// Preprocessing measurements, kept for diagnostics ("how expensive was
   /// the setup this partition amortizes").
-  std::vector<std::string> step_names;
   std::vector<RankStats> pre_stats;
+  /// old_ids[r] = rank r's owned_old_ids, which a sink's finish() needs.
+  /// Empty when the blocks were built some other way: such a partition
+  /// counts, but cannot feed a sink.
+  std::vector<std::vector<VertexId>> old_ids;
 
   /// Approximate resident footprint of all ranks' blocks.
   std::uint64_t resident_bytes() const;
@@ -53,12 +56,14 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
                                       const graph::EdgeList& graph,
                                       const RunOptions& options = {});
 
-/// Runs only the counting supersteps on the resident partition and
-/// assembles a RunResult (empty preprocessing phase; traffic counters are
-/// this job's delta). `config`'s kernel-phase knobs (kernel, overlap,
-/// §5.2 switches) are honored; its enumeration is overridden by the
-/// partition's. `world` must be the world `partition` was built on.
+/// Runs only the counting supersteps on the resident partition, through
+/// run_counter on `world` (empty preprocessing phase; traffic counters
+/// are this job's delta), and feeds every rank's `make_sink` sink as
+/// count_triangles_2d does. `config`'s kernel-phase knobs (kernel,
+/// overlap, §5.2 switches) are honored; its enumeration is overridden by
+/// the partition's. `world` must be the world `partition` was built on.
 RunResult count_resident(mpisim::PersistentWorld& world,
-                         const ResidentPartition& partition, Config config);
+                         const ResidentPartition& partition, Config config,
+                         const SinkFactory& make_sink = {});
 
 }  // namespace tricount::core

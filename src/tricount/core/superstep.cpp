@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/util/time.hpp"
@@ -135,24 +134,24 @@ TriangleCount SuperstepEngine::reduce() {
 }
 
 RunResult run_counter(RunResult result, const RunOptions& options,
-                      const RankBody& body) {
+                      const RankBody& body, mpisim::PersistentWorld* world) {
   result.model = options.model;
   result.chaos_enabled = options.chaos != nullptr;
   result.per_rank.assign(static_cast<std::size_t>(result.ranks), RankStats{});
 
+  const mpisim::RankFn rank_fn = [&](mpisim::Comm& comm) {
+    obs::RankTelemetry* live = live_slot();
+    if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
+    body(comm, result.per_rank[static_cast<std::size_t>(comm.rank())], result);
+    if (live != nullptr) live->phase.store("done", std::memory_order_relaxed);
+  };
   mpisim::WorldOptions world_options;
   world_options.fault_injector = options.chaos.get();
   world_options.watchdog_seconds = options.watchdog_seconds;
-  mpisim::WorldReport report = mpisim::run_world_report(
-      result.ranks,
-      [&](mpisim::Comm& comm) {
-        obs::RankTelemetry* live = live_slot();
-        if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
-        body(comm, result.per_rank[static_cast<std::size_t>(comm.rank())],
-             result);
-        if (live != nullptr) live->phase.store("done", std::memory_order_relaxed);
-      },
-      world_options);
+  mpisim::WorldReport report =
+      world != nullptr
+          ? world->run_job(rank_fn)
+          : mpisim::run_world_report(result.ranks, rank_fn, world_options);
 
   result.per_rank_counters = std::move(report.counters);
   result.comm_matrix = std::move(report.comm_matrix);

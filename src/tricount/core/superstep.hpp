@@ -40,6 +40,7 @@
 #include "tricount/core/instrumentation.hpp"
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/comm.hpp"
+#include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
@@ -123,7 +124,13 @@ using RankBody =
 /// preprocessing step names. The caller presets what differs by
 /// algorithm (algorithm, grid_q, overlap_enabled). Live telemetry reads
 /// "pre" until the first superstep and "done" after the body.
+///
+/// With `world`, the body runs as one job on that persistent world
+/// (traffic counters are the job's delta) instead of a fresh world; the
+/// world's own options then stand in for the chaos injector and watchdog,
+/// and a persistent world refuses injectors (mpisim/runtime.hpp).
 RunResult run_counter(RunResult result, const RunOptions& options,
-                      const RankBody& body);
+                      const RankBody& body,
+                      mpisim::PersistentWorld* world = nullptr);
 
 }  // namespace tricount::core

@@ -154,4 +154,20 @@ void write_binary(const EdgeList& graph, const std::string& path) {
   if (!out) fail(path, "write failed");
 }
 
+EdgeList read_graph_file(const std::string& path) {
+  if (path.ends_with(".mtx")) return read_matrix_market(path);
+  if (path.ends_with(".bin")) return read_binary(path);
+  return read_edge_list(path);
+}
+
+void write_graph_file(const EdgeList& graph, const std::string& path) {
+  if (path.ends_with(".mtx")) {
+    write_matrix_market(graph, path);
+  } else if (path.ends_with(".bin")) {
+    write_binary(graph, path);
+  } else {
+    write_edge_list(graph, path);
+  }
+}
+
 }  // namespace tricount::graph

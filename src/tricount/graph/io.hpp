@@ -26,4 +26,9 @@ void write_matrix_market(const EdgeList& graph, const std::string& path);
 EdgeList read_binary(const std::string& path);
 void write_binary(const EdgeList& graph, const std::string& path);
 
+/// By extension: ".mtx" is MatrixMarket, ".bin" binary, anything else
+/// the text edge list.
+EdgeList read_graph_file(const std::string& path);
+void write_graph_file(const EdgeList& graph, const std::string& path);
+
 }  // namespace tricount::graph

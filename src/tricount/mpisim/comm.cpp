@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
@@ -220,6 +219,7 @@ void Comm::reliable_send(int dest, int tag,
       std::vector<std::byte>(payload.begin(), payload.end()),
       steady_seconds() + world_.fault_injector()->retry_timeout_seconds(),
       1,
+      /*delivered=*/false,
       /*trace_id=*/0,
       /*post_us=*/0.0};
   if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
@@ -238,7 +238,7 @@ void Comm::publish_unacked_depth() const {
                                              std::memory_order_relaxed);
 }
 
-void Comm::transmit(const PendingSend& p) {
+void Comm::transmit(PendingSend& p) {
   const FaultInjector& injector = *world_.fault_injector();
   const FaultAction action =
       injector.on_message(rank_, p.dest, p.tag, p.seq, p.attempts);
@@ -276,6 +276,7 @@ void Comm::transmit(const PendingSend& p) {
     record_attempt(/*was_dropped=*/true);
     return;
   }
+  p.delivered = true;
   Message m;
   m.source = rank_;
   m.tag = p.tag;
@@ -328,6 +329,9 @@ void Comm::service_reliable() {
   for (PendingSend& p : unacked_) {
     if (now < p.deadline) continue;
     if (p.attempts >= injector.max_retries()) {
+      // A delivered copy waits in dest's mailbox: the receiver has not
+      // read it yet, so stop retransmitting and wait for its ack.
+      if (p.delivered) continue;
       std::ostringstream what;
       what << "chaos: message to rank " << p.dest << " (tag " << p.tag
            << ", seq " << p.seq << ", " << p.payload.size()
@@ -416,8 +420,7 @@ void Comm::flush_sends() {
   while (!unacked_.empty()) {
     service_reliable();
     if (unacked_.empty()) break;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(kReliablePollSeconds));
+    world_.mailbox(rank_).wait_ack_for(kReliablePollSeconds);
   }
 }
 

@@ -11,7 +11,10 @@
 // dest, tag) channel is sequence-numbered, receivers ack each data copy,
 // discard duplicates, and re-order overtaken messages, while senders
 // retransmit unacknowledged messages on a timeout — bounded by
-// FaultInjector::max_retries(), after which a typed ChaosError is thrown.
+// FaultInjector::max_retries(). A message all of whose attempts were
+// dropped then throws a typed ChaosError; one with a delivered copy stops
+// retransmitting and waits for its ack (the receiver may just be slow to
+// read it), bounded by the run_world watchdog.
 // Sends stay non-blocking either way, preserving MPI_Bsend deadlock
 // freedom. See docs/chaos.md.
 #pragma once
@@ -223,6 +226,8 @@ class Comm {
     std::vector<std::byte> payload;
     double deadline = 0.0;  // steady-clock seconds of the next retransmit
     int attempts = 0;
+    /// True once an attempt reached dest's mailbox (was not dropped).
+    bool delivered = false;
     /// Causal-trace identity of the logical message (obs::MsgTrace): the
     /// id every wire attempt shares and the post instant of the original
     /// send call. Zero when no trace is installed.
@@ -242,10 +247,11 @@ class Comm {
   /// Non-blocking reliable receive: drains acks/duplicates and returns
   /// false when nothing deliverable is queued right now.
   bool reliable_try_recv(int source, int tag, Message& out);
-  /// Puts one attempt of `p` on the wire, applying the injected fault.
-  void transmit(const PendingSend& p);
+  /// Puts one attempt of `p` on the wire, applying the injected fault;
+  /// marks `p` delivered unless the attempt was dropped.
+  void transmit(PendingSend& p);
   /// Drains acks and retransmits overdue sends; throws ChaosError once a
-  /// message exhausts its retry budget.
+  /// message exhausts its retry budget with every attempt dropped.
   void service_reliable();
   void send_ack(const Message& received);
   /// Delivers the next in-order stashed message matching (source, tag).

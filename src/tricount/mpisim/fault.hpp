@@ -46,8 +46,10 @@ class FaultInjector {
   /// Superstep at which `rank` fail-restarts once, or -1 for never.
   virtual int crash_superstep(int rank) const = 0;
 
-  /// Transmission attempts per message before the sender gives up with a
-  /// ChaosError (kRetransmitTimeout).
+  /// Transmission attempts per message. When all of them were dropped the
+  /// sender gives up with a ChaosError (kRetransmitTimeout); when a copy
+  /// was delivered it stops retransmitting and waits for the ack, since
+  /// the receiver only acks once it reads the message.
   virtual int max_retries() const { return 50; }
 
   /// Sender-side wait for an ack before retransmitting.
@@ -101,9 +103,9 @@ struct ChaosCounters {
   }
 };
 
-/// Typed failure of the chaos machinery itself: a message that stayed
-/// undeliverable after max_retries(), or the run_world watchdog declaring
-/// the world stalled.
+/// Typed failure of the chaos machinery itself: a message whose
+/// max_retries() attempts were all dropped, or the run_world watchdog
+/// declaring the world stalled.
 class ChaosError : public std::runtime_error {
  public:
   enum class Kind { kRetransmitTimeout, kWatchdogStall };

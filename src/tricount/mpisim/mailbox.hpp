@@ -60,6 +60,11 @@ class Mailbox {
   /// Non-blocking removal of the oldest kAck message, if any.
   bool try_pop_ack(Message& out);
 
+  /// Waits up to `timeout_seconds` for a kAck message to be queued,
+  /// without removing it, and counts as a blocked receive for the
+  /// watchdog. Throws like pop() if the world failed.
+  void wait_ack_for(double timeout_seconds);
+
   /// Returns true if a matching message is queued (MPI_Iprobe analogue).
   bool probe(int source, int tag);
 

@@ -174,6 +174,25 @@ bool Mailbox::try_pop_ack(Message& out) {
   return false;
 }
 
+void Mailbox::wait_ack_for(double timeout_seconds) {
+  std::unique_lock lock(mutex_);
+  waiting_ = true;
+  waiting_source_ = kAnySource;
+  waiting_tag_ = kAnyTag;
+  cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds), [&] {
+    return failed_ ||
+           std::any_of(queue_.begin(), queue_.end(), [](const Message& m) {
+             return m.kind == MsgKind::kAck;
+           });
+  });
+  waiting_ = false;
+  if (failed_) {
+    throw std::runtime_error(
+        "mpisim: ack wait aborted, a peer rank failed while this rank was "
+        "blocked");
+  }
+}
+
 bool Mailbox::probe(int source, int tag) {
   std::scoped_lock lock(mutex_);
   return find_locked(source, tag) < queue_.size();
@@ -394,9 +413,10 @@ PersistentWorld::PersistentWorld(int size, const WorldOptions& options)
     : size_(size) {
   if (options.fault_injector != nullptr) {
     throw std::invalid_argument(
-        "mpisim: PersistentWorld does not support fault injection "
-        "(Mailbox::fail is permanent, so one chaos crash would poison "
-        "every later job)");
+        "mpisim: PersistentWorld does not support fault injection (each "
+        "job builds a fresh Comm, so channel sequence numbers and "
+        "collective tags restart, and a late duplicate or retransmit from "
+        "one job would be accepted as data by the next)");
   }
   world_ = std::make_unique<World>(size, options);
   if (size_ > 1) {

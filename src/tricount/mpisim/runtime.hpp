@@ -121,9 +121,10 @@ WorldReport run_world_report(int size, const RankFn& fn,
 ///  * run_job returns only the *delta* the job produced (counters and
 ///    comm matrix), so per-request artifacts attribute traffic to the
 ///    request that caused it, not to the world's lifetime.
-///  * Fault injection is unsupported: Mailbox::fail() is permanent, so a
-///    chaos crash would poison every later job. The constructor throws if
-///    a fault injector is configured.
+///  * Fault injection is unsupported: each job builds a fresh Comm, so
+///    channel sequence numbers and collective tags restart, and a late
+///    duplicate or retransmit from one job would be accepted as data by
+///    the next. The constructor throws if a fault injector is configured.
 ///  * If any rank throws, the world is failed exactly like run_world —
 ///    and then *stays* failed: the world is poisoned, run_job refuses
 ///    further jobs, and the owner must rebuild the world.

@@ -31,17 +31,6 @@ bool cacheable_verb(const std::string& verb) {
          verb == "truss" || verb == "support" || verb == "approx";
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-graph::EdgeList load_graph_file(const std::string& path) {
-  if (has_suffix(path, ".mtx")) return graph::read_matrix_market(path);
-  if (has_suffix(path, ".bin")) return graph::read_binary(path);
-  return graph::read_edge_list(path);
-}
-
 /// Reads an optional bounded non-negative integer param.
 bool get_uint_param(const Value& params, const char* key,
                     std::uint64_t fallback, std::uint64_t max,
@@ -60,6 +49,14 @@ bool get_uint_param(const Value& params, const char* key,
 }
 
 }  // namespace
+
+Service::Execution Service::failure(ErrorCode code, std::string message) {
+  Execution out;
+  out.ok = false;
+  out.error = code;
+  out.message = std::move(message);
+  return out;
+}
 
 Service::Service(const ServiceOptions& options, ResponseSink sink)
     : options_(options),
@@ -270,17 +267,9 @@ Service::Execution Service::execute(const Request& request) {
       out.result_json = result.dump();
       return out;
     }
-    Execution out;
-    out.ok = false;
-    out.error = ErrorCode::kBadVerb;
-    out.message = "unknown verb '" + verb + "'";
-    return out;
+    return failure(ErrorCode::kBadVerb, "unknown verb '" + verb + "'");
   } catch (const std::exception& e) {
-    Execution out;
-    out.ok = false;
-    out.error = ErrorCode::kInternal;
-    out.message = e.what();
-    return out;
+    return failure(ErrorCode::kInternal, e.what());
   }
 }
 
@@ -303,46 +292,35 @@ Service::Execution Service::verb_graph_load(const Request& request) {
   const Value* generate = request.params.find("generate");
   Execution out;
   if ((path != nullptr) == (generate != nullptr)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "need exactly one of 'path' or 'generate'";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "need exactly one of 'path' or 'generate'");
   }
   if (path != nullptr) {
     if (!path->is_string() || path->as_string().empty()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'path' must be a non-empty string";
-      return out;
+      return failure(ErrorCode::kBadParams,
+                     "'path' must be a non-empty string");
     }
-    graph = load_graph_file(path->as_string());
+    graph = graph::read_graph_file(path->as_string());
     name = path->as_string();
   } else {
     if (!generate->is_object()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'generate' must be an object";
-      return out;
+      return failure(ErrorCode::kBadParams, "'generate' must be an object");
     }
     const Value* type = generate->find("type");
     const std::string kind =
         type != nullptr && type->is_string() ? type->as_string() : "rmat";
     std::uint64_t seed = 1;
     if (!get_uint_param(*generate, "seed", 1, ~std::uint64_t{0}, seed)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'seed' must be a non-negative integer";
-      return out;
+      return failure(ErrorCode::kBadParams,
+                     "'seed' must be a non-negative integer");
     }
     if (kind == "rmat") {
       std::uint64_t scale = 8;
       std::uint64_t edge_factor = 8;
       if (!get_uint_param(*generate, "scale", 8, 22, scale) ||
           !get_uint_param(*generate, "edge_factor", 8, 256, edge_factor)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "rmat: bad 'scale' or 'edge_factor'";
-        return out;
+        return failure(ErrorCode::kBadParams,
+                       "rmat: bad 'scale' or 'edge_factor'");
       }
       graph::RmatParams params;
       params.scale = static_cast<int>(scale);
@@ -355,10 +333,7 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       std::uint64_t edges = 8192;
       if (!get_uint_param(*generate, "n", 1024, 1u << 24, n) ||
           !get_uint_param(*generate, "edges", 8192, 1u << 28, edges)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "er: bad 'n' or 'edges'";
-        return out;
+        return failure(ErrorCode::kBadParams, "er: bad 'n' or 'edges'");
       }
       graph = graph::erdos_renyi(static_cast<graph::VertexId>(n),
                                  static_cast<graph::EdgeIndex>(edges), seed);
@@ -371,19 +346,13 @@ Service::Execution Service::verb_graph_load(const Request& request) {
           beta != nullptr && beta->is_number() ? beta->as_number() : 0.1;
       if (!get_uint_param(*generate, "n", 512, 1u << 24, n) ||
           !get_uint_param(*generate, "k", 8, 512, k) || b < 0.0 || b > 1.0) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "ws: bad 'n', 'k', or 'beta'";
-        return out;
+        return failure(ErrorCode::kBadParams, "ws: bad 'n', 'k', or 'beta'");
       }
       graph = graph::watts_strogatz(static_cast<graph::VertexId>(n),
                                     static_cast<int>(k), b, seed);
       name = "ws_n" + std::to_string(n);
     } else {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "unknown generator '" + kind + "'";
-      return out;
+      return failure(ErrorCode::kBadParams, "unknown generator '" + kind + "'");
     }
   }
 
@@ -436,20 +405,21 @@ void Service::ensure_stream() {
   }
 }
 
-void Service::ensure_partition() {
-  if (!partition_dirty_) return;
-  partition_ = core::preprocess_resident(*world_, graph_, run_options());
-  partition_dirty_ = false;
+bool Service::ready_partition(Execution& out) {
+  if (world_ == nullptr || world_->poisoned()) {
+    out = failure(ErrorCode::kInternal, "world poisoned; reload the graph");
+    return false;
+  }
+  if (partition_dirty_) {  // stream mutations dirty the resident blocks
+    partition_ = core::preprocess_resident(*world_, graph_, run_options());
+    partition_dirty_ = false;
+  }
+  return true;
 }
 
 Service::Execution Service::verb_count(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   const Value* algo_param = request.params.find("algo");
   const std::string algo =
       algo_param != nullptr && algo_param->is_string() ? algo_param->as_string()
@@ -458,18 +428,12 @@ Service::Execution Service::verb_count(const Request& request) {
   if (const Value* kernel = request.params.find("kernel")) {
     if (!kernel->is_string() ||
         !kernels::parse_policy(kernel->as_string(), config.kernel)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "bad 'kernel'";
-      return out;
+      return failure(ErrorCode::kBadParams, "bad 'kernel'");
     }
   }
   if (const Value* overlap = request.params.find("overlap")) {
     if (overlap->type() != Value::Type::kBool) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'overlap' must be a bool";
-      return out;
+      return failure(ErrorCode::kBadParams, "'overlap' must be a bool");
     }
     config.overlap = overlap->as_bool();
   }
@@ -478,13 +442,7 @@ Service::Execution Service::verb_count(const Request& request) {
   // other name goes through the algorithm registry.
   core::RunResult run;
   if (algo == "2d") {
-    if (world_ == nullptr || world_->poisoned()) {
-      out.ok = false;
-      out.error = ErrorCode::kInternal;
-      out.message = "world poisoned; reload the graph";
-      return out;
-    }
-    ensure_partition();  // stream mutations dirty the resident blocks
+    if (!ready_partition(out)) return out;
     run = core::count_resident(*world_, partition_, config);
   } else {
     core::RunOptions options = run_options();
@@ -492,10 +450,7 @@ Service::Execution Service::verb_count(const Request& request) {
     try {
       run = core::count_triangles(algo, graph_, options_.ranks, options);
     } catch (const core::UnknownAlgorithm& e) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = e.what();
-      return out;
+      return failure(ErrorCode::kBadParams, e.what());
     }
   }
 
@@ -510,28 +465,17 @@ Service::Execution Service::verb_count(const Request& request) {
 
 Service::Execution Service::verb_pervertex(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   std::uint64_t top = 10;
   if (!get_uint_param(request.params, "top", 10, 10000, top)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'top' must be an integer in [0, 10000]";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "'top' must be an integer in [0, 10000]");
   }
 
+  if (!ready_partition(out)) return out;
   const core::PerVertexResult per_vertex =
-      core::count_per_vertex_2d(graph_, options_.ranks, run_options());
-
-  std::vector<graph::EdgeIndex> degree(graph_.num_vertices, 0);
-  for (const auto& edge : graph_.edges) {
-    ++degree[static_cast<std::size_t>(edge.u)];
-    ++degree[static_cast<std::size_t>(edge.v)];
-  }
+      core::count_per_vertex_2d(*world_, partition_);
+  const std::vector<graph::EdgeIndex> degree = graph::degrees(graph_);
 
   const Value* vertices = request.params.find("vertices");
   Value rows = Value::array();
@@ -546,19 +490,14 @@ Service::Execution Service::verb_pervertex(const Request& request) {
   };
   if (vertices != nullptr) {
     if (!vertices->is_array()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'vertices' must be an array of vertex ids";
-      return out;
+      return failure(ErrorCode::kBadParams,
+                     "'vertices' must be an array of vertex ids");
     }
     for (std::size_t i = 0; i < vertices->size(); ++i) {
       const Value& v = vertices->at(i);
       if (!v.is_number() || v.as_number() < 0 ||
           v.as_number() >= static_cast<double>(graph_.num_vertices)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "vertex id out of range";
-        return out;
+        return failure(ErrorCode::kBadParams, "vertex id out of range");
       }
       emit_vertex(static_cast<graph::VertexId>(v.as_uint()));
     }
@@ -571,42 +510,37 @@ Service::Execution Service::verb_pervertex(const Request& request) {
              static_cast<std::uint64_t>(per_vertex.total_triangles));
   result.set(vertices != nullptr ? "vertices" : "top", std::move(rows));
   out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
+  out.supersteps = per_vertex.run.num_shifts();
   out.cacheable = true;
   return out;
 }
 
 Service::Execution Service::verb_clustering(const Request&) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
+  if (!ready_partition(out)) return out;
+  const core::PerVertexResult per_vertex =
+      core::count_per_vertex_2d(*world_, partition_);
   const core::ClusteringStats stats =
-      core::clustering_stats_2d(graph_, options_.ranks, run_options());
+      core::clustering_stats(graph_, per_vertex);
   Value result = Value::object();
   result.set("triangles", static_cast<std::uint64_t>(stats.triangles));
   result.set("wedges", static_cast<std::uint64_t>(stats.wedges));
   result.set("transitivity", stats.transitivity);
   result.set("average_local_clustering", stats.average_local_clustering);
   out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
+  out.supersteps = per_vertex.run.num_shifts();
   out.cacheable = true;
   return out;
 }
 
 Service::Execution Service::verb_truss(const Request&) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
-  const graph::KtrussResult truss =
-      core::ktruss_2d(graph_, options_.ranks, run_options());
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
+  if (!ready_partition(out)) return out;
+  core::RunResult run;
+  const graph::KtrussResult truss = graph::ktruss_from_supports(
+      graph_, core::edge_supports_2d(*world_, partition_, graph_, &run));
   Value per_k = Value::array();
   for (int k = 3; k <= truss.max_k; ++k) {
     std::uint64_t edges = 0;
@@ -622,36 +556,37 @@ Service::Execution Service::verb_truss(const Request&) {
   result.set("max_k", truss.max_k);
   result.set("per_k", std::move(per_k));
   out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
+  out.supersteps = run.num_shifts();
   out.cacheable = true;
   return out;
 }
 
 Service::Execution Service::verb_support(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   std::uint64_t top = 10;
   if (!get_uint_param(request.params, "top", 10, 10000, top)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'top' must be an integer in [0, 10000]";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "'top' must be an integer in [0, 10000]");
   }
+  if (!ready_partition(out)) return out;
+  core::RunResult run;
   const std::vector<graph::TriangleCount> supports =
-      core::edge_supports_2d(graph_, options_.ranks, run_options());
+      core::edge_supports_2d(*world_, partition_, graph_, &run);
 
+  // Only the top `take` are emitted: order just those, support
+  // descending then edge index ascending (as PerVertexResult::top).
   std::vector<std::size_t> order(supports.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return supports[a] != supports[b] ? supports[a] > supports[b] : a < b;
-  });
-  Value rows = Value::array();
   const std::size_t take = std::min<std::size_t>(top, order.size());
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(take),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      return supports[a] != supports[b]
+                                 ? supports[a] > supports[b]
+                                 : a < b;
+                    });
+  Value rows = Value::array();
   for (std::size_t i = 0; i < take; ++i) {
     const auto& edge = graph_.edges[order[i]];
     Value row = Value::object();
@@ -664,36 +599,26 @@ Service::Execution Service::verb_support(const Request& request) {
   result.set("edges", static_cast<std::uint64_t>(supports.size()));
   result.set("top", std::move(rows));
   out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
+  out.supersteps = run.num_shifts();
   out.cacheable = true;
   return out;
 }
 
 Service::Execution Service::verb_approx(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   const Value* retention_param = request.params.find("retention");
   const double retention =
       retention_param != nullptr && retention_param->is_number()
           ? retention_param->as_number()
           : 0.1;
   if (!(retention > 0.0 && retention <= 1.0)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'retention' must be in (0, 1]";
-    return out;
+    return failure(ErrorCode::kBadParams, "'retention' must be in (0, 1]");
   }
   std::uint64_t seed = 42;
   if (!get_uint_param(request.params, "seed", 42, ~std::uint64_t{0}, seed)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'seed' must be a non-negative integer";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "'seed' must be a non-negative integer");
   }
   const graph::ApproxCount approx =
       graph::approx_triangles_doulion(graph_, retention, seed);
@@ -713,10 +638,7 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
                                         kernels::KernelPolicy kernel) {
   Execution out;
   if (const auto reason = stream::validate(*stream_, batch)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = *reason;
-    return out;
+    return failure(ErrorCode::kBadParams, *reason);
   }
   ensure_world();
   stream::DeltaConfig config;
@@ -726,7 +648,7 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
   stream::apply(*stream_, batch, delta);
   if (sample_ != nullptr) sample_->apply(batch);
   graph_ = stream_->edge_list();
-  partition_dirty_ = true;  // the next 2d count re-preprocesses lazily
+  partition_dirty_ = true;  // the next 2D verb re-preprocesses lazily
 
   const std::uint64_t old_version =
       graph_version_.fetch_add(1, std::memory_order_relaxed);
@@ -764,18 +686,11 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
 
 Service::Execution Service::verb_graph_apply(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   const Value* ops = request.params.find("ops");
   if (ops == nullptr || !ops->is_array() || ops->size() == 0) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'ops' must be a non-empty array of '+u v' / '-u v'";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "'ops' must be a non-empty array of '+u v' / '-u v'");
   }
   stream::Batch batch;
   for (std::size_t i = 0; i < ops->size(); ++i) {
@@ -784,10 +699,8 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
         op.is_string() ? stream::parse_op(op.as_string())
                        : std::optional<stream::DeltaOp>();
     if (!parsed) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "ops[" + std::to_string(i) + "]: malformed op";
-      return out;
+      return failure(ErrorCode::kBadParams,
+                     "ops[" + std::to_string(i) + "]: malformed op");
     }
     batch.ops.push_back(*parsed);
   }
@@ -795,10 +708,7 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
   if (const Value* param = request.params.find("kernel")) {
     if (!param->is_string() ||
         !kernels::parse_policy(param->as_string(), kernel)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "bad 'kernel'";
-      return out;
+      return failure(ErrorCode::kBadParams, "bad 'kernel'");
     }
   }
   ensure_stream();
@@ -807,21 +717,14 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
 
 Service::Execution Service::verb_graph_window(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   std::uint64_t capacity = 0;
   const Value* param = request.params.find("capacity");
   if (param == nullptr ||
       !get_uint_param(request.params, "capacity", 0, ~std::uint64_t{0},
                       capacity)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'capacity' must be a non-negative integer";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "'capacity' must be a non-negative integer");
   }
   ensure_stream();
   const stream::Batch evictions = stream::window_evictions(*stream_, capacity);
@@ -847,12 +750,7 @@ Service::Execution Service::verb_graph_window(const Request& request) {
 
 Service::Execution Service::verb_delta_stats(const Request&) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   ensure_stream();
   SessionCounters counters;
   {
@@ -877,38 +775,26 @@ Service::Execution Service::verb_delta_stats(const Request&) {
 
 Service::Execution Service::verb_stream_sample(const Request& request) {
   Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
+  if (!graph_loaded()) return failure(ErrorCode::kNoGraph, "no graph loaded");
   ensure_stream();
   const Value* retention_param = request.params.find("retention");
   if (retention_param != nullptr) {
     if (!retention_param->is_number() ||
         !(retention_param->as_number() > 0.0 &&
           retention_param->as_number() <= 1.0)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'retention' must be in (0, 1]";
-      return out;
+      return failure(ErrorCode::kBadParams, "'retention' must be in (0, 1]");
     }
     std::uint64_t seed = 42;
     if (!get_uint_param(request.params, "seed", 42, ~std::uint64_t{0},
                         seed)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'seed' must be a non-negative integer";
-      return out;
+      return failure(ErrorCode::kBadParams,
+                     "'seed' must be a non-negative integer");
     }
     sample_ = std::make_unique<stream::SampledStream>(
         *stream_, retention_param->as_number(), seed);
   } else if (sample_ == nullptr) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "no sampled estimator; pass 'retention' to start one";
-    return out;
+    return failure(ErrorCode::kBadParams,
+                   "no sampled estimator; pass 'retention' to start one");
   }
   Value result = Value::object();
   result.set("estimate", sample_->estimate());

@@ -2,8 +2,9 @@
 // behind `tools/tricountd`. One instance owns
 //
 //  * a PersistentWorld whose rank threads stay parked between requests,
-//  * the graph and its preprocessed 2D partition, kept resident so a
-//    served `count` pays only the √p counting supersteps,
+//  * the graph and its preprocessed 2D partition, kept resident so every
+//    served 2D verb (count, pervertex, clustering, support, truss) pays
+//    only the √p counting supersteps,
 //  * the bounded AdmissionQueue (backpressure → `shed` errors),
 //  * the versioned LRU ResultCache (a graph.load/swap bumps the version
 //    and invalidates), and
@@ -128,6 +129,9 @@ class Service {
     bool cacheable = false;
   };
 
+  /// A failed execution with `code` and `message`.
+  static Execution failure(ErrorCode code, std::string message);
+
   void dispatcher_loop();
   void execute_batch(std::vector<Pending> batch);
   Execution execute(const Request& request);
@@ -158,8 +162,10 @@ class Service {
   void ensure_world();
   /// Lazily builds the maintained stream state from the resident graph.
   void ensure_stream();
-  /// Re-preprocesses the 2D partition after stream mutations dirtied it.
-  void ensure_partition();
+  /// Readies the resident partition every 2D verb counts on: false, with
+  /// `out` set to the error, when the world is poisoned; otherwise
+  /// re-preprocesses the partition if stream mutations dirtied it.
+  bool ready_partition(Execution& out);
   void emit(const std::string& line);
   void record(RequestRecord row);
   void refresh_gauges();
@@ -173,7 +179,9 @@ class Service {
 
   // Dispatcher-owned state.
   std::unique_ptr<mpisim::PersistentWorld> world_;
-  graph::EdgeList graph_;  ///< simplified, resident for non-2d verbs
+  /// Simplified; the partition is built from it, and the non-2D
+  /// algorithms and the support sink read it.
+  graph::EdgeList graph_;
   std::string graph_name_;
   core::ResidentPartition partition_;
   /// Incremental maintenance state (docs/streaming.md); built lazily by
@@ -181,7 +189,7 @@ class Service {
   std::unique_ptr<stream::StreamState> stream_;
   std::unique_ptr<stream::SampledStream> sample_;
   /// Stream mutations landed since the partition was last preprocessed;
-  /// the next 2d count rebuilds it lazily.
+  /// the next 2D verb rebuilds it lazily.
   bool partition_dirty_ = false;
   /// Atomic: the submit thread pins it at admission (see
   /// Pending::admit_version) while the dispatcher bumps it on swaps.

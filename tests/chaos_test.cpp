@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "test_seed.hpp"
@@ -263,6 +265,33 @@ TEST(ChaosProtocol, RetransmitTimeoutThrowsTypedError) {
   } catch (const mpisim::ChaosError& e) {
     EXPECT_EQ(e.kind(), mpisim::ChaosError::Kind::kRetransmitTimeout);
   }
+}
+
+TEST(ChaosProtocol, SlowReceiverOutlastsTheRetryBudget) {
+  // Nothing is dropped, so every attempt lands in the receiver's mailbox;
+  // the receiver just reads long after the 3 x 1 ms retry budget. The ack
+  // only comes when it reads, so the sender must keep waiting, not fail.
+  chaos::FaultSpec spec;
+  spec.seed = 9;
+  spec.drop_rate = 0.0;
+  spec.max_retries = 3;
+  spec.retry_timeout_seconds = 1e-3;
+  const chaos::FaultPlan plan(spec, 2);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  int received = 0;
+  mpisim::run_world(
+      2,
+      [&](mpisim::Comm& comm) {
+        if (comm.rank() == 0) {
+          comm.send_value<int>(1, 7, 42);
+        } else {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          received = comm.recv_value<int>(0, 7);
+        }
+      },
+      options);
+  EXPECT_EQ(received, 42);
 }
 
 TEST(ChaosProtocol, DuplicatesDiscardedDataIntact) {

@@ -1,16 +1,21 @@
 // Tests for the distributed analytics built on the triangle machinery:
 // distributed k-truss support counting, validated against its serial
 // reference on every graph family and grid size, under every Config
-// switch, and under chaos faults.
+// switch, and under chaos faults; and the triangle sinks on a resident
+// partition, which must match the fresh runs.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "test_corpus.hpp"
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/dist_truss.hpp"
+#include "tricount/core/per_vertex.hpp"
+#include "tricount/core/resident.hpp"
 #include "tricount/graph/generators.hpp"
+#include "tricount/graph/serial_count.hpp"
 
 namespace tricount::core {
 namespace {
@@ -94,6 +99,47 @@ TEST(DistTruss, SupportsExactUnderCrashAndMessageFaults) {
 TEST(DistTruss, NonSquareRanksThrow) {
   EXPECT_THROW(edge_supports_2d(truss_graphs()[0], 8),
                std::invalid_argument);
+}
+
+TEST(ResidentSinks, OnePartitionServesPerVertexThenSupports) {
+  // Two sink runs in turn on one partition: the second only matches the
+  // fresh run if the first left the resident blocks and old ids intact.
+  const EdgeList& g = truss_graphs()[0];
+  mpisim::PersistentWorld world(9);
+  for (const auto& [label, config] : test_support::config_variants()) {
+    RunOptions options;
+    options.config = config;
+    const ResidentPartition partition =
+        preprocess_resident(world, g, options);
+    const PerVertexResult per_vertex = count_per_vertex_2d(world, partition);
+    RunResult run;
+    const auto supports = edge_supports_2d(world, partition, g, &run);
+    const PerVertexResult fresh = count_per_vertex_2d(g, 9, options);
+    EXPECT_EQ(per_vertex.counts, fresh.counts) << label;
+    EXPECT_EQ(per_vertex.total_triangles, fresh.total_triangles) << label;
+    EXPECT_EQ(supports, edge_supports_2d(g, 9, options)) << label;
+    EXPECT_EQ(run.triangles, fresh.total_triangles) << label;
+    EXPECT_EQ(run.num_shifts(), 3u) << label;
+  }
+}
+
+TEST(ResidentSinks, SinkRunWithoutOldIdsThrows) {
+  // A partition assembled from bare blocks (no preprocess_resident) can
+  // count, but cannot map a sink's tallies back to input ids.
+  const EdgeList& g = truss_graphs()[1];
+  mpisim::PersistentWorld world(4);
+  ResidentPartition partition = preprocess_resident(world, g);
+  partition.old_ids.clear();
+  EXPECT_EQ(count_resident(world, partition, partition.config).triangles,
+            graph::count_triangles_serial(graph::Csr::from_edges(g)));
+  try {
+    count_per_vertex_2d(world, partition);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("count_resident"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 // lands in a plain vector — no dispatcher thread, fully deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "test_corpus.hpp"
 #include "test_seed.hpp"
 #include "tricount/cetric/cetric.hpp"
+#include "tricount/core/dist_truss.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/per_vertex.hpp"
 #include "tricount/core/summa2d.hpp"
@@ -680,6 +683,107 @@ TEST(ServiceEquivalence, AnalyticsVerbsMatchLibraryCalls) {
                    approx.estimate);
   EXPECT_EQ(h.svc.records().back().supersteps, 0u)
       << "approx runs no counting superstep";
+}
+
+TEST(ServiceEquivalence, AnalyticsVerbsReadTheMutatedGraphAfterApply) {
+  // The analytic verbs count on the resident partition, which a delta
+  // batch dirties: after graph.apply they must answer for the mutated
+  // edge list, not the partition preprocessed at load.
+  const auto& entry = test_support::corpus()[4];
+  Harness h;
+  h.svc.load_graph(entry.graph, "corpus4");
+  const graph::EdgeList loaded = graph::simplify(entry.graph);
+  const char* kVerbs[] = {
+      R"({"id":1,"verb":"pervertex","params":{"top":10}})",
+      R"({"id":2,"verb":"clustering"})",
+      R"({"id":3,"verb":"support","params":{"top":10}})",
+      R"({"id":4,"verb":"truss"})"};
+  for (const char* line : kVerbs) h.result(h.ask(line));
+
+  // Delete two edges that close triangles, insert one absent pair.
+  const auto loaded_supports = graph::edge_supports(loaded);
+  std::vector<graph::Edge> removed;
+  for (std::size_t e = 0; e < loaded.edges.size() && removed.size() < 2; ++e) {
+    if (loaded_supports[e] > 0) removed.push_back(loaded.edges[e]);
+  }
+  ASSERT_EQ(removed.size(), 2u);
+  graph::Edge added{0, 1};
+  while (std::binary_search(loaded.edges.begin(), loaded.edges.end(), added)) {
+    ++added.v;
+  }
+  ASSERT_LT(added.v, loaded.num_vertices);
+  std::string ops = "\"+" + std::to_string(added.u) + " " +
+                    std::to_string(added.v) + "\"";
+  graph::EdgeList mutated;
+  mutated.num_vertices = loaded.num_vertices;
+  mutated.edges.push_back(added);
+  for (const graph::Edge& edge : loaded.edges) {
+    if (std::find(removed.begin(), removed.end(), edge) == removed.end()) {
+      mutated.edges.push_back(edge);
+    }
+  }
+  for (const graph::Edge& edge : removed) {
+    ops += ",\"-" + std::to_string(edge.u) + " " + std::to_string(edge.v) +
+           "\"";
+  }
+  mutated = graph::simplify(std::move(mutated));
+  h.result(h.ask(R"({"id":5,"verb":"graph.apply","params":{"ops":[)" + ops +
+                 "]}}"));
+
+  const core::PerVertexResult per_vertex =
+      core::count_per_vertex_2d(mutated, 4);
+  ASSERT_NE(per_vertex.total_triangles, entry.expected);
+  Value doc = h.result(h.ask(kVerbs[0])).get("result");
+  EXPECT_EQ(doc.get("total_triangles").as_uint(), per_vertex.total_triangles);
+  const std::vector<graph::VertexId> top = per_vertex.top(10);
+  ASSERT_EQ(doc.get("top").size(), top.size());
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(doc.get("top").at(i).get("vertex").as_uint(), top[i]);
+    EXPECT_EQ(doc.get("top").at(i).get("triangles").as_uint(),
+              per_vertex.counts[top[i]]);
+  }
+
+  const core::ClusteringStats stats = core::clustering_stats_2d(mutated, 4);
+  doc = h.result(h.ask(kVerbs[1])).get("result");
+  EXPECT_EQ(doc.get("triangles").as_uint(), stats.triangles);
+  EXPECT_EQ(doc.get("wedges").as_uint(), stats.wedges);
+  EXPECT_DOUBLE_EQ(doc.get("transitivity").as_number(), stats.transitivity);
+  EXPECT_DOUBLE_EQ(doc.get("average_local_clustering").as_number(),
+                   stats.average_local_clustering);
+
+  const std::vector<graph::TriangleCount> supports =
+      core::edge_supports_2d(mutated, 4);
+  doc = h.result(h.ask(kVerbs[2])).get("result");
+  EXPECT_EQ(doc.get("edges").as_uint(), supports.size());
+  std::vector<std::size_t> order(supports.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return supports[a] > supports[b];
+                   });
+  ASSERT_EQ(doc.get("top").size(), std::min<std::size_t>(10, order.size()));
+  for (std::size_t i = 0; i < doc.get("top").size(); ++i) {
+    const Value& row = doc.get("top").at(i);
+    EXPECT_EQ(row.get("u").as_uint(), mutated.edges[order[i]].u);
+    EXPECT_EQ(row.get("v").as_uint(), mutated.edges[order[i]].v);
+    EXPECT_EQ(row.get("support").as_uint(), supports[order[i]]);
+  }
+
+  const graph::KtrussResult truss = core::ktruss_2d(mutated, 4);
+  doc = h.result(h.ask(kVerbs[3])).get("result");
+  EXPECT_EQ(doc.get("max_k").as_number(), truss.max_k);
+  ASSERT_EQ(doc.get("per_k").size(),
+            static_cast<std::size_t>(std::max(truss.max_k - 2, 0)));
+  for (int k = 3; k <= truss.max_k; ++k) {
+    const auto edges = static_cast<std::uint64_t>(std::count_if(
+        truss.trussness.begin(), truss.trussness.end(),
+        [k](int t) { return t >= k; }));
+    EXPECT_EQ(doc.get("per_k").at(static_cast<std::size_t>(k - 3))
+                  .get("edges")
+                  .as_uint(),
+              edges)
+        << "k=" << k;
+  }
 }
 
 // --- warm-vs-cold acceptance gate ----------------------------------------
